@@ -28,8 +28,8 @@ struct OverlapMeasurement {
   int ranks = 0;
   unsigned threads_per_rank = 0;
   unsigned hardware_threads = 0;  ///< what the host actually offers
-  double on_us_per_step = 0.0;   ///< staged + overlap
-  double off_us_per_step = 0.0;  ///< staged, sequential schedule
+  double on_us_per_step = 0.0;   ///< interior evaluated async (overlap)
+  double off_us_per_step = 0.0;  ///< interior evaluated on the driver
   double halo_off_us = 0.0;      ///< exchange cost per step when not hidden
   double halo_on_us = 0.0;       ///< driver time in the exchange with overlap
                                  ///< on — the overlap window itself
@@ -107,8 +107,7 @@ inline OverlapMeasurement measure_overlap(int steps = 6,
       auto pair = std::make_shared<dp::PairDeepMD>(
           model, opts, pools[static_cast<std::size_t>(rank.rank())].get());
       comm::DomainEngine engine(rank, grid, box, masses, pair,
-                                {.dt_fs = 0.25, .staged = true,
-                                 .overlap = overlap});
+                                {.dt_fs = 0.25, .overlap = overlap});
       engine.seed(x, v, type);
       engine.step();  // warm-up: tables, caches, first exchange
       engine.timers().reset();
@@ -201,7 +200,7 @@ inline CadenceMeasurement measure_cadence(int rebuild_every, double skin,
     comm::DomainEngine engine(rank, grid, box, masses, pair,
                               {.dt_fs = 0.25, .skin = skin,
                                .rebuild_every = rebuild_every,
-                               .staged = true, .overlap = true});
+                               .overlap = true});
     engine.seed(x, v, type);
     // Warm-up: setup rebuild + two full steps (tables, caches, the first
     // refresh allocation) before the timed window opens.

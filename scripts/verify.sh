@@ -6,6 +6,7 @@
 #   scripts/verify.sh --portable # add the -DDPMD_NATIVE=OFF leg
 #   scripts/verify.sh --asan     # add the ASan+UBSan leg (threaded suites)
 #   scripts/verify.sh --tsan     # add the TSan leg (threaded suites)
+#   scripts/verify.sh --perfbench # add the repo-benchmark smoke leg
 #   scripts/verify.sh --all      # everything
 #
 # The portability leg exists because the hot kernels (vtanh, gemm, the
@@ -13,7 +14,10 @@
 # and must build AND pass on a plain baseline ISA — a kernel that silently
 # requires -march=native is a bug this leg catches.  The TSan leg (ISSUE 8)
 # guards the shared-ModelPack serving paths: N SimService workers reading
-# one immutable weight pack while the queue mutates under its mutex.
+# one immutable weight pack while the queue mutates under its mutex.  The
+# perfbench leg runs the repository benchmark (BENCHMARK.json) for a few
+# steps per workload, so a change that breaks its build, a metric name or
+# one of its correctness checks fails here rather than in a benchmark run.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -21,12 +25,14 @@ jobs="${JOBS:-4}"
 run_portable=0
 run_asan=0
 run_tsan=0
+run_perfbench=0
 for arg in "$@"; do
   case "$arg" in
     --portable) run_portable=1 ;;
     --asan) run_asan=1 ;;
     --tsan) run_tsan=1 ;;
-    --all) run_portable=1; run_asan=1; run_tsan=1 ;;
+    --perfbench) run_perfbench=1 ;;
+    --all) run_portable=1; run_asan=1; run_tsan=1; run_perfbench=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -102,6 +108,11 @@ if [[ "$run_tsan" == 1 ]]; then
         -DDPMD_SANITIZE=thread >/dev/null
   cmake --build "$repo_root/build-tsan" -j"$jobs"
   (cd "$repo_root/build-tsan" && ctest -L threaded --output-on-failure)
+fi
+
+if [[ "$run_perfbench" == 1 ]]; then
+  echo "== repo benchmark: perfbench smoke (both workloads, 2 trace modes) =="
+  (cd "$repo_root" && python3 perfbench/smoke_test.py)
 fi
 
 echo "verify: OK"

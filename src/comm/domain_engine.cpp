@@ -1,10 +1,9 @@
 #include "comm/domain_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "comm/geometry.hpp"
 #include "comm/wire.hpp"
@@ -39,9 +38,8 @@ static_assert(std::is_trivially_copyable_v<ForceMsg>);
 /// owns the accumulator and atom arrays the workers use — unwinds.
 struct JoinGuard {
   md::Pair* pair;
-  ~JoinGuard() {
-    if (pair != nullptr) pair->join();
-  }
+  void join() { std::exchange(pair, nullptr)->join(); }
+  ~JoinGuard() { if (pair != nullptr) pair->join(); }
 };
 
 /// Resolves DomainConfig::skin < 0 (auto, ISSUE 5 satellite) to the largest
@@ -85,7 +83,13 @@ DomainEngine::DomainEngine(simmpi::Rank& rank, const simmpi::CartGrid& grid,
       masses_(std::move(masses)), pair_(std::move(pair)),
       cfg_(resolve_config(cfg, grid, global_box, pair_->cutoff(), rank)),
       nlist_({pair_->cutoff(), cfg_.skin, pair_->needs_full_list()}),
-      halo_(rank_, grid_, global_box_, pair_->cutoff() + cfg_.skin) {
+      halo_(rank_, grid_, global_box_, pair_->cutoff() + cfg_.skin),
+      integrity_(cfg_.health, " on rank " + std::to_string(rank.rank()),
+                 [&rank](bool bad) {
+                   // One rank's NaN rewinds every rank, or the domains
+                   // would disagree about which step they are on.
+                   return rank.allreduce_max(bad ? 1.0 : 0.0) > 0.5;
+                 }) {
   DPMD_REQUIRE(cfg_.skin >= 0.0 && cfg_.rebuild_every >= 1,
                "bad skin/rebuild cadence");
   DPMD_REQUIRE(cfg_.rebalance_every >= 0 && cfg_.rebalance_damping >= 0.0 &&
@@ -310,184 +314,89 @@ void DomainEngine::return_ghost_forces() {
   }
 }
 
-void DomainEngine::exchange_and_compute() {
-  // The locals are snapshotted into the halo wire format once; the
-  // exchange reads the snapshot, never the live atom arrays, which is what
-  // makes overlapping it with force evaluation race-free.
-  fill_local_domain();
-  // With a rebuild cadence, this full exchange doubles as the recording
-  // pass for the steady-state position-only replays.
-  halo_.record_plan(cfg_.rebuild_every > 1 ? &plan_ : nullptr);
-  md::ForceResult res;
-
-  if (!cfg_.staged) {
-    // Legacy sequence: blocking exchange -> full list build -> monolithic
-    // compute.
-    {
-      ScopedTimer timer(timers_, "halo");
-      halo_.begin(dom_);
-      adopt_ghosts(halo_.finish());
-    }
-    {
-      ScopedTimer timer(timers_, "neigh");
-      nlist_.build(atoms_, global_box_);
-    }
-    ScopedTimer timer(timers_, "pair");
-    pair_->on_lists_rebuilt();
-    atoms_.zero_forces();
-    res = pair_->compute(atoms_, nlist_);
-  } else {
-    atoms_.zero_forces();
+void DomainEngine::compute_forces(bool rebuild) {
+  // One schedule (paper §III-C): post the halo sends, evaluate the interior
+  // partition, finish the exchange, evaluate the boundary partition.  An
+  // interior center's stencil cannot reach a ghost, so its evaluation (and,
+  // on a rebuild, its list build) needs no ghost; with cfg_.overlap it runs
+  // on the pair's worker threads while this thread drives the remaining
+  // exchange rounds.  The exchange reads a snapshot of the locals (dom_ on
+  // a rebuild, the recorded plan's gather on a refresh), never the arrays
+  // the workers use, which is what makes the overlap race-free.
+  if (rebuild) {
+    fill_local_domain();
+    // With a rebuild cadence, this full exchange doubles as the recording
+    // pass for the steady-state position-only replays.
+    halo_.record_plan(cfg_.rebuild_every > 1 ? &plan_ : nullptr);
     md::classify_partition(atoms_, sub_box_, nlist_.list_cutoff(),
                            partition_);
     pair_->on_lists_rebuilt();
-    md::ForceAccum accum;
-    if (cfg_.overlap) {
-      // §III-C overlap: post the halo sends, launch the interior blocks on
-      // the pair's worker threads, drive the remaining exchange rounds on
-      // this thread, then join before the atom arrays are appended to.
-      // An interior center's stencil cannot reach a ghost, so its list is
-      // built from the locals alone while the exchange is in flight.
-      {
-        ScopedTimer timer(timers_, "halo");
-        halo_.begin(dom_);
-      }
-      {
-        ScopedTimer timer(timers_, "neigh");
-        nlist_.build_centers(atoms_, global_box_, partition_.interior,
-                             /*reset=*/true);
-      }
-      pair_->begin_step(atoms_, nlist_);
-      JoinGuard join_guard{pair_.get()};
-      {
-        ScopedTimer timer(timers_, "pair");
-        pair_->compute_partition(atoms_, nlist_, partition_.interior, accum,
-                                 /*async=*/true);
-      }
-      {
-        ScopedTimer timer(timers_, "halo");
-        const auto ghosts = halo_.finish();
-        pair_->join();  // interior reads atoms_.x; join before we append
-        join_guard.pair = nullptr;
-        adopt_ghosts(ghosts);
-      }
-      {
-        ScopedTimer timer(timers_, "neigh");
-        nlist_.build_centers(atoms_, global_box_, partition_.boundary,
-                             /*reset=*/false);
-      }
-      ScopedTimer timer(timers_, "pair");
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
-    } else {
-      // Staged API, sequential schedule: the A/B baseline the overlap
-      // bench rung compares against (same partitions, same math).
-      {
-        ScopedTimer timer(timers_, "halo");
-        halo_.begin(dom_);
-        adopt_ghosts(halo_.finish());
-      }
-      {
-        ScopedTimer timer(timers_, "neigh");
-        nlist_.build(atoms_, global_box_);
-      }
-      ScopedTimer timer(timers_, "pair");
-      pair_->begin_step(atoms_, nlist_);
-      pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
-    }
-  }
-
-  {
-    ScopedTimer timer(timers_, "force_return");
-    return_ghost_forces();
-  }
-  // Cadence bookkeeping: this step's positions are the drift reference.
-  x_at_build_.assign(atoms_.x.begin(),
-                     atoms_.x.begin() + atoms_.nlocal);
-  steps_since_build_ = 0;
-  ++rebuilds_;
-  pe_ = res.pe;
-  virial_ = res.virial;
-  forces_ready_ = true;
-}
-
-void DomainEngine::refresh_and_compute() {
-  // Steady-state step (ISSUE 4): no migration, no list build, no env
-  // re-pack — ghosts keep their identity and only their positions travel,
-  // over the schedule recorded at the last rebuild.
-  DPMD_REQUIRE(plan_.recorded && plan_.nlocal == atoms_.nlocal &&
-                   plan_.nghost == atoms_.nghost,
-               "halo plan out of date (missed rebuild?)");
-  const std::span<const Vec3> locals{
-      atoms_.x.data(), static_cast<std::size_t>(atoms_.nlocal)};
-  const auto write_ghosts = [&](const std::vector<Vec3>& gx) {
-    for (int g = 0; g < atoms_.nghost; ++g) {
-      atoms_.x[static_cast<std::size_t>(atoms_.nlocal + g)] =
-          gx[static_cast<std::size_t>(g)];
-    }
-  };
-  md::ForceResult res;
-  atoms_.zero_forces();
-
-  if (!cfg_.staged) {
-    {
-      ScopedTimer timer(timers_, "halo");
-      halo_.refresh_begin(locals, plan_);
-      write_ghosts(halo_.refresh_finish());
-    }
-    ScopedTimer timer(timers_, "pair");
-    res = pair_->compute(atoms_, nlist_);
   } else {
-    md::ForceAccum accum;
-    if (cfg_.overlap) {
-      // Same overlap shape as the rebuild step, minus every list: the
-      // interior partition (whose lists reference locals only) evaluates
-      // on the workers while this thread replays the forward rounds; the
-      // refreshed ghost positions are written after join, then the
-      // boundary partition runs against them.
-      {
-        ScopedTimer timer(timers_, "halo");
-        halo_.refresh_begin(locals, plan_);
-      }
-      pair_->begin_step(atoms_, nlist_);
-      JoinGuard join_guard{pair_.get()};
-      {
-        ScopedTimer timer(timers_, "pair");
-        pair_->compute_partition(atoms_, nlist_, partition_.interior, accum,
-                                 /*async=*/true);
-      }
-      {
-        ScopedTimer timer(timers_, "halo");
-        const auto& gx = halo_.refresh_finish();
-        pair_->join();  // interior reads atoms_.x; join before ghost writes
-        join_guard.pair = nullptr;
-        write_ghosts(gx);
-      }
-      ScopedTimer timer(timers_, "pair");
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
+    // Steady-state step: no migration, no list build, no env
+    // re-pack — ghosts keep their identity and only their positions
+    // travel, over the schedule recorded at the last rebuild.
+    DPMD_REQUIRE(plan_.recorded && plan_.nlocal == atoms_.nlocal &&
+                     plan_.nghost == atoms_.nghost,
+                 "halo plan out of date (missed rebuild?)");
+  }
+  atoms_.zero_forces();
+  {
+    ScopedTimer timer(timers_, "halo");
+    if (rebuild) {
+      halo_.begin(dom_);
     } else {
-      {
-        ScopedTimer timer(timers_, "halo");
-        halo_.refresh_begin(locals, plan_);
-        write_ghosts(halo_.refresh_finish());
-      }
-      ScopedTimer timer(timers_, "pair");
-      pair_->begin_step(atoms_, nlist_);
-      pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
+      halo_.refresh_begin(
+          {atoms_.x.data(), static_cast<std::size_t>(atoms_.nlocal)}, plan_);
     }
   }
-
+  if (rebuild) {
+    ScopedTimer timer(timers_, "neigh");
+    nlist_.build_centers(atoms_, global_box_, partition_.interior,
+                         /*reset=*/true);
+  }
+  md::ForceAccum accum;
+  pair_->begin_step(atoms_, nlist_);
+  JoinGuard join_guard{pair_.get()};
+  {
+    ScopedTimer timer(timers_, "pair");
+    pair_->compute_partition(atoms_, nlist_, partition_.interior, accum,
+                             /*async=*/cfg_.overlap);
+  }
+  {
+    // The interior reads atoms_.x: join it before ghosts land there.
+    ScopedTimer timer(timers_, "halo");
+    if (rebuild) {
+      const auto ghosts = halo_.finish();
+      join_guard.join();
+      adopt_ghosts(ghosts);
+    } else {
+      const auto& gx = halo_.refresh_finish();  // nghost positions
+      join_guard.join();
+      std::copy(gx.begin(), gx.end(), atoms_.x.begin() + atoms_.nlocal);
+    }
+  }
+  if (rebuild) {
+    ScopedTimer timer(timers_, "neigh");
+    nlist_.build_centers(atoms_, global_box_, partition_.boundary,
+                         /*reset=*/false);
+  }
+  {
+    ScopedTimer timer(timers_, "pair");
+    pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
+    const md::ForceResult res = pair_->end_step(atoms_, nlist_, accum);
+    pe_ = res.pe;
+    virial_ = res.virial;
+  }
   {
     ScopedTimer timer(timers_, "force_return");
     return_ghost_forces();
   }
-  pe_ = res.pe;
-  virial_ = res.virial;
+  if (rebuild) {
+    // Cadence bookkeeping: this step's positions are the drift reference.
+    x_at_build_.assign(atoms_.x.begin(), atoms_.x.begin() + atoms_.nlocal);
+    steps_since_build_ = 0;
+    ++rebuilds_;
+  }
   forces_ready_ = true;
 }
 
@@ -504,27 +413,22 @@ bool DomainEngine::drift_exceeds_skin() {
   return rank_.allreduce_max(max2) > limit * limit;
 }
 
-bool DomainEngine::health_tripped() {
-  // The verdict must be collective: one rank's NaN rewinds every rank, or
-  // the domains would disagree about which step they are on.
-  const bool bad =
-      md::local_forces_unhealthy(atoms_, cfg_.health.max_force) ||
-      md::local_pe_unhealthy(pe_, atoms_.nlocal, cfg_.health.max_pe_per_atom);
-  return rank_.allreduce_max(bad ? 1.0 : 0.0) > 0.5;
-}
-
 void DomainEngine::step() {
+  const auto save = [this](ckpt::Writer& w) { save_checkpoint(w); };
+  // Collective health verdict on fresh forces: true = every rank tripped
+  // and rewound together (md::Integrity), so the step is abandoned.
+  const auto health_rewound = [&] {
+    return integrity_.rewound_after_trip(
+        atoms_, pe_, steps_done_,
+        [this](ckpt::Reader& r) { restore_checkpoint(r); }, cfg_.dt_fs,
+        *pair_);
+  };
   if (!forces_ready_) {
     migrate();
-    exchange_and_compute();
-    if (cfg_.health.enabled) {
-      if (health_tripped()) {
-        recover_or_abort("non-finite or blown-up forces/energy");
-        return;  // the rewound step re-runs on the next call
-      }
-      // First healthy state: the rewind target until the cadence takes over.
-      if (snapshot_.empty() && cfg_.health.snapshot_every > 0) take_snapshot();
-    }
+    compute_forces(/*rebuild=*/true);
+    if (health_rewound()) return;  // the rewound step re-runs on the next call
+    // First healthy state: the rewind target until the cadence takes over.
+    integrity_.ensure_snapshot(steps_done_, save);
   }
 
   const double dt = cfg_.dt_fs;
@@ -551,18 +455,13 @@ void DomainEngine::step() {
     // it — the shift rides the normal rebuild path end to end.
     maybe_rebalance();
     migrate();
-    exchange_and_compute();
-  } else {
-    refresh_and_compute();
   }
+  compute_forces(rebuild);
 
   // Health guard (ISSUE 6): scan before the forces enter the velocities.
   // On a trip the whole step is abandoned — no second kick, no counter
   // advance — and every rank rewinds to its snapshot of the same step.
-  if (cfg_.health.enabled && health_tripped()) {
-    recover_or_abort("non-finite or blown-up forces/energy");
-    return;
-  }
+  if (health_rewound()) return;
 
   for (int i = 0; i < atoms_.nlocal; ++i) {
     const double inv_m =
@@ -572,10 +471,7 @@ void DomainEngine::step() {
         atoms_.f[static_cast<std::size_t>(i)] * (0.5 * dt * inv_m);
   }
   ++steps_done_;
-  if (cfg_.health.enabled && cfg_.health.snapshot_every > 0 &&
-      steps_done_ % cfg_.health.snapshot_every == 0) {
-    take_snapshot();
-  }
+  integrity_.step_completed(steps_done_, save);
 }
 
 void DomainEngine::run(int nsteps) {
@@ -711,47 +607,6 @@ void DomainEngine::restore_checkpoint_file(const std::string& base) {
   auto r = ckpt::Reader::from_file(rank_checkpoint_path(base, rank_.rank()));
   restore_checkpoint(r);
   r.expect_end();
-}
-
-void DomainEngine::take_snapshot() {
-  ckpt::Writer w;
-  save_checkpoint(w);
-  snapshot_ = w.framed();
-  snapshot_step_ = steps_done_;
-  // Fresh snapshot = forward progress: the retry budget starts over.
-  trips_since_progress_ = 0;
-}
-
-void DomainEngine::recover_or_abort(const char* cause) {
-  ++trips_since_progress_;
-  if (snapshot_.empty() || trips_since_progress_ > cfg_.health.max_retries) {
-    incidents_.record(steps_done_, "health", cause, "abort");
-    throw dpmd::Error(
-        "numerical health trip on rank " + std::to_string(rank_.rank()) +
-        " at step " + std::to_string(steps_done_) +
-        (snapshot_.empty() ? " with no snapshot to rewind to"
-                           : " after exhausting the retry budget") +
-        "; incidents:\n" + incidents_.summary());
-  }
-  std::string action = "rewind to step " + std::to_string(snapshot_step_) +
-                       " + forced rebuild";
-  ckpt::Reader r(snapshot_, "in-memory rewind snapshot");
-  restore_checkpoint(r);
-  r.expect_end();
-  // Escalation ladder: retry 1 is a pure rewind + rebuild (clears transient
-  // faults and, crucially, keeps the retried trajectory identical to an
-  // undisturbed run).  Later retries change the numerics — applied *after*
-  // the restore, which just overwrote cfg_.dt_fs with the snapshot's value.
-  // trips_since_progress_ advances in lockstep on every rank (the verdict
-  // is collective), so the ladder is collective too.
-  if (trips_since_progress_ >= 2) {
-    cfg_.dt_fs *= cfg_.health.dt_backoff;
-    action += ", dt -> " + std::to_string(cfg_.dt_fs) + " fs";
-  }
-  if (trips_since_progress_ >= 3 && pair_->degrade_to_conservative()) {
-    action += ", pair degraded to conservative numerics";
-  }
-  incidents_.record(steps_done_, "health", cause, action);
 }
 
 double DomainEngine::total_pe() { return rank_.allreduce_sum(pe_); }

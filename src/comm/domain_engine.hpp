@@ -9,14 +9,13 @@
 #include "comm/halo.hpp"
 #include "md/atoms.hpp"
 #include "md/box.hpp"
-#include "md/health.hpp"
+#include "md/integrity.hpp"
 #include "md/neighbor.hpp"
 #include "md/pair.hpp"
 #include "md/partition.hpp"
 #include "md/thermo.hpp"
 #include "simmpi/simmpi.hpp"
 #include "util/checkpoint.hpp"
-#include "util/incident.hpp"
 #include "util/timer.hpp"
 
 namespace dpmd::comm {
@@ -46,18 +45,16 @@ struct DomainConfig {
   /// long cadence correct for fast atoms; no-op when rebuild_every <= 1.
   bool rebuild_on_drift = true;
 
-  /// Route force evaluation through the staged Pair surface (ISSUE 3):
-  /// local atoms split into interior (stencil entirely inside the sub-box
-  /// shrunk by the list cutoff) and boundary partitions; off = the legacy
-  /// exchange -> build -> monolithic compute sequence.
-  bool staged = true;
-  /// With staged on: post the halo sends, evaluate the interior partition
-  /// (on the pair's thread-pool workers when it supports async) while this
-  /// thread drives the remaining exchange rounds, then receive, append
-  /// ghosts, and evaluate the boundary partition — the §III-C overlap that
-  /// hides ghost communication behind Deep Potential block evaluation.
-  /// Off: same staged API, strictly sequential (the A/B baseline the
-  /// overlap bench rung compares against).
+  /// Every step runs one staged schedule: post the halo sends,
+  /// evaluate the interior partition (stencil entirely inside the sub-box
+  /// shrunk by the list cutoff), finish the exchange, evaluate the boundary
+  /// partition, return ghost forces.  `overlap` is the interior
+  /// evaluation's async flag: on, it runs on the pair's thread-pool workers
+  /// while this thread drives the remaining exchange rounds — the §III-C
+  /// overlap that hides ghost communication behind Deep Potential block
+  /// evaluation; off, this thread evaluates it between posting the sends
+  /// and finishing the exchange (the A/B baseline of the overlap bench
+  /// rung).
   bool overlap = true;
 
   /// Numerical health guard + rewind recovery (ISSUE 6).  The trip verdict
@@ -123,7 +120,7 @@ class DomainEngine {
   /// planes()[d][i+1].  Uniform until a rebalance event moves them.
   const std::array<std::vector<double>, 3>& planes() const { return planes_; }
   double local_pe() const { return pe_; }
-  /// Last step's interior/boundary split (staged mode; empty otherwise).
+  /// Interior/boundary split of the last rebuild step.
   const md::StagePartition& partition() const { return partition_; }
   /// Per-phase wall time on this rank: "halo" (exchange begin/finish +
   /// ghost adoption), "neigh", "pair", "force_return".  With overlap on,
@@ -162,7 +159,7 @@ class DomainEngine {
   void restore_checkpoint_file(const std::string& base);
 
   /// Recovery events on this rank (health trips, rewinds, escalations).
-  const IncidentLog& incidents() const { return incidents_; }
+  const IncidentLog& incidents() const { return integrity_.incidents(); }
 
  private:
   /// Recomputes sub_box_ from planes_ and this rank's grid coordinates.
@@ -181,24 +178,15 @@ class DomainEngine {
   void fill_local_domain();
   /// Append exchanged ghosts to the atom arrays (+ owner bookkeeping).
   void adopt_ghosts(const std::vector<HaloAtom>& ghosts);
-  /// Rebuild step: full exchange (plan recorded) + neighbor build + force
-  /// evaluation, staged or legacy per cfg_.
-  void exchange_and_compute();
-  /// Steady-state step: position-only halo replay over the recorded plan,
-  /// persistent lists/partition/env, force evaluation.
-  void refresh_and_compute();
+  /// The step's force evaluation, one schedule for both step kinds: a
+  /// rebuild step runs the full exchange (recording the halo plan) and
+  /// builds the lists and partition around it; a refresh step replays the
+  /// recorded plan as a position-only ghost update against the persistent
+  /// lists, partition and env.
+  void compute_forces(bool rebuild);
   /// Collective skin/2 drift check (identical verdict on every rank).
   bool drift_exceeds_skin();
   void return_ghost_forces();
-  /// Collective health verdict: any rank's local NaN/blow-up scan trips
-  /// every rank (allreduce), so recovery is lockstep.
-  bool health_tripped();
-  /// In-memory rewind snapshot (framed checkpoint bytes) of this rank.
-  void take_snapshot();
-  /// Collective recovery ladder after a health trip: rewind every rank to
-  /// its snapshot, escalate (dt backoff, conservative numerics), or abort
-  /// with the incident log once the retry budget is spent.
-  void recover_or_abort(const char* cause);
 
   simmpi::Rank& rank_;
   const simmpi::CartGrid& grid_;
@@ -243,14 +231,8 @@ class DomainEngine {
   double pair_mark_ = 0.0;
   bool forces_ready_ = false;
   TimerRegistry timers_;
-
-  // Health-guard state (ISSUE 6).  The snapshot holds framed checkpoint
-  // bytes; trips_since_progress_ resets whenever a snapshot is taken, so
-  // the retry budget measures trips *without forward progress*.
-  std::vector<std::byte> snapshot_;
-  int snapshot_step_ = -1;
-  int trips_since_progress_ = 0;
-  IncidentLog incidents_;
+  /// Health guard + rewind snapshots, verdict allreduced over the ranks.
+  md::Integrity integrity_;
 };
 
 }  // namespace dpmd::comm

@@ -834,7 +834,7 @@ void DPEvaluator::sweep_impl(const SweepJob* jobs, int njobs,
     for (int i = 0; i < njobs; ++i) finish(i, 0);
   }
 
-  // Flop estimate (batch_impl's fused-branch formula), accumulated outside
+  // Flop estimate (batch_impl's compressed formula), accumulated outside
   // the parallel phases.
   for (int i = 0; i < njobs; ++i) {
     const AtomEnvBatch& batch = *jobs[i].batch;
@@ -903,13 +903,10 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
            batch.fit_type_offset[static_cast<std::size_t>(t)];
   };
 
+  // The slab pipeline: evaluate_sweep routes here only when the fused
+  // tabulate-contraction (sweep_impl, the compressed default) is off — the
+  // uncompressed full-embedding path and the fused_table = false ablation.
   auto& ws = batch_workspace<T>();
-  // Fused tabulate-contraction (ISSUE 5): the compressed default.  The
-  // table eval and the descriptor contraction run as one register-resident
-  // sweep per segment — no G/dG slabs, no rmat precision cast, no M = 4
-  // contraction GEMMs.  fused_table = false keeps the slab pipeline below
-  // as the ablation baseline.
-  const bool fused = opts_.compressed && opts_.fused_table;
   // Full-embedding skin-tail pack (ISSUE 5 satellite): with env reuse the
   // packed segments carry zeroed skin-band tails; compact the embedding
   // MLP's input to the active prefixes so the net never runs over them.
@@ -937,32 +934,27 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
                              batch.type_offset[static_cast<std::size_t>(t)];
   };
   // The double pipeline reads the batch environment matrix in place; only
-  // the fp32 modes pay a cast copy — and the fused path reads the fp64
-  // matrix directly (per-row in-register casts), so it skips even that.
+  // the fp32 modes pay a cast copy.
   const T* rmat = nullptr;
-  if (!fused) {
-    if constexpr (std::is_same_v<T, double>) {
-      rmat = batch.rmat.data();
-    } else {
-      ws.rmat.resize(static_cast<std::size_t>(rows) * 4);
-      for (std::size_t i = 0; i < static_cast<std::size_t>(rows) * 4; ++i) {
-        ws.rmat[i] = static_cast<T>(batch.rmat[i]);
-      }
-      rmat = ws.rmat.data();
+  if constexpr (std::is_same_v<T, double>) {
+    rmat = batch.rmat.data();
+  } else {
+    ws.rmat.resize(static_cast<std::size_t>(rows) * 4);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(rows) * 4; ++i) {
+      ws.rmat[i] = static_cast<T>(batch.rmat[i]);
     }
+    rmat = ws.rmat.data();
   }
   ws.a.assign(static_cast<std::size_t>(B) * 4 * m1, T(0));
-  if (!fused) ws.dr.resize(static_cast<std::size_t>(rows) * 4);
+  ws.dr.resize(static_cast<std::size_t>(rows) * 4);
 
   // ---- embedding forward: ONE net pass per neighbor type per block -------
   // g_base[t] + (r - type_lo(t)) * m1 is the embedding row of packed row r
   // (g_row_off-adjusted when the active pack is on); the slab lives either
-  // in ws.g (compressed, unfused) or in the type's MLP cache (uncompressed,
-  // zero-copy via forward_batch).  The fused path has no G slab at all.
+  // in ws.g (compressed) or in the type's MLP cache (uncompressed,
+  // zero-copy via forward_batch).
   std::vector<const T*> g_base(static_cast<std::size_t>(ntypes), nullptr);
-  if (fused) {
-    // Table eval happens inside the fused contraction drivers below.
-  } else if (opts_.compressed) {
+  if (opts_.compressed) {
     const auto& tables = pack_->tables();
     ws.g.resize(static_cast<std::size_t>(rows) * m1);
     ws.dgds.resize(static_cast<std::size_t>(rows) * m1);
@@ -1045,20 +1037,12 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
         count, fit_caches[static_cast<std::size_t>(t)]);
   }
 
-  // Fused (default): one register-resident tabulate-and-contract sweep per
-  // (slot, type) segment accumulates A with no G materialization.
-  // Unfused: one gemm_tn per segment over the G slab (PR 2), the ablation
-  // baseline; its segment sweep lives in contract_forward_batch, shared
-  // with the batched trainer.
-  const double inv_n_d = 1.0 / static_cast<double>(dparams.sel_total());
+  // One gemm_tn per (slot, type) segment over the G slab; the
+  // segment sweep lives in contract_forward_batch, shared with the batched
+  // trainer.
   const T inv_n = T(1) / static_cast<T>(dparams.sel_total());
-  if (fused) {
-    fused_contract_forward_batch(batch, pack_->tables(), m1, m2, inv_n_d,
-                                 ws.a.data(), fit_slab.data());
-  } else {
-    contract_forward_batch(batch, rmat, g_base.data(), g_row_off, m1, m2,
-                           inv_n, ws.a.data(), fit_slab.data());
-  }
+  contract_forward_batch(batch, rmat, g_base.data(), g_row_off, m1, m2, inv_n,
+                         ws.a.data(), fit_slab.data());
 
   // ---- fitting nets: forward AND backward at M = centers-per-type --------
   // One single-task fit_stage call — the same code the multi-block sweep
@@ -1076,15 +1060,8 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
   }
 
   // ---- backward through the descriptor ------------------------------------
-  // Fused: dA per slot, then one register-resident sweep per segment that
-  // re-evaluates the table and contracts straight through to the fp64
-  // dE/dd rows — no dG/dR/dE-ds slabs, and nothing left to do after it.
-  if (fused) {
-    fused_contract_backward_batch(batch, pack_->tables(), dd_base.data(), m1,
-                                  m2, inv_n_d, ws.a.data(), dE_dd.data());
-  } else {
-  // Unfused: dG rows accumulate into per-type slabs — the embedding grad
-  // slab (uncompressed) or ws.dg (compressed), mirroring g_base.
+  // dG rows accumulate into per-type slabs — the embedding grad slab
+  // (uncompressed) or ws.dg (compressed), mirroring g_base.
   std::vector<T*> dg_base(static_cast<std::size_t>(ntypes), nullptr);
   if (opts_.compressed) {
     ws.dg.assign(static_cast<std::size_t>(rows) * m1, T(0));
@@ -1187,7 +1164,6 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
       }
     }
   }
-  }  // !fused
 
   // flop estimate (same per-atom formula as eval_impl, over the block).
   const double fin = dparams.fitting_input_dim();

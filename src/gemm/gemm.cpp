@@ -1,6 +1,7 @@
 #include "gemm/gemm.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "util/vtanh.hpp"
@@ -81,10 +82,9 @@ struct TileShape {
 /// GEMMs, §III-B) run at high arithmetic intensity; M < MR callers are
 /// served by sve_gemm instead.
 ///
-/// A is accessed as a[i * ra + p * ca]: (ra=lda, ca=1) walks row-major A
-/// (gemm_blocked), (ra=1, ca=lda) walks a K x M stored operand column-wise
-/// (gemm_tn) — the strides are template-free ints so both fold to the same
-/// register tile.
+/// A is accessed as a[i * ra + p * ca] with ra = lda, ca = 1 (row-major A;
+/// gemm_blocked, gemm_packed, gemm_batched).  The K x M stored operand of
+/// gemm_tn has its own tile, tn_tile below.
 template <class T, int MR, int NR>
 inline void micro_tile(const T* __restrict a, const T* __restrict b,
                        T* __restrict c, int k, int ra, int ca, int ldb,
@@ -99,6 +99,34 @@ inline void micro_tile(const T* __restrict a, const T* __restrict b,
       const T av = a[static_cast<std::size_t>(i) * ra +
                      static_cast<std::size_t>(p) * ca];
       for (int j = 0; j < NR; ++j) acc[i * NR + j] += av * brow[j];
+    }
+  }
+  for (int i = 0; i < MR; ++i) {
+    T* crow = c + static_cast<std::size_t>(i) * ldc;
+    for (int j = 0; j < NR; ++j) crow[j] += alpha * acc[i * NR + j];
+  }
+}
+
+/// gemm_tn's MR x NR register tile over the K x M stored operand: the MR
+/// A values of step p are contiguous in row p (stride lda = M between
+/// rows), so each step copies them as one MR-element block and broadcasts
+/// from that copy.  Reading them element-wise (micro_tile's strided
+/// a[i + p * lda] walk, or a plain av[i] = arow[i] loop) let GCC 12's
+/// -O3 -march=native SLP vectorizer widen the load with row p + 1, which
+/// reads one K row past the operand on the last step: a fault at
+/// (m, n, k) = (4, 8, 1) in the guard-page tests.  The block copy compiles
+/// to embedded broadcasts of exactly the MR values.
+template <class T, int MR, int NR>
+inline void tn_tile(const T* __restrict at, const T* __restrict b,
+                    T* __restrict c, int k, int lda, int ldb, int ldc,
+                    T alpha) {
+  T acc[MR * NR] = {};
+  for (int p = 0; p < k; ++p) {
+    const T* __restrict brow = b + static_cast<std::size_t>(p) * ldb;
+    T av[MR];
+    std::memcpy(av, at + static_cast<std::size_t>(p) * lda, sizeof av);
+    for (int i = 0; i < MR; ++i) {
+      for (int j = 0; j < NR; ++j) acc[i * NR + j] += av[i] * brow[j];
     }
   }
   for (int i = 0; i < MR; ++i) {
@@ -232,9 +260,9 @@ void gemm_tn(const T* at, const T* b, T* c, int m, int n, int k, T alpha,
              T beta) {
   // C (M x N) = alpha * A^T B + beta * C with A stored K x M: the shape of
   // the descriptor contraction A = R~^T G (M = 4, K = neighbor rows) and of
-  // the training weight gradient dW = x^T dy (K = batch).  Column i of the
-  // stored operand is walked at stride m, which micro_tile folds into its
-  // A-access strides (ra=1, ca=m) — no transposition or packing.
+  // the training weight gradient dW = x^T dy (K = batch).  Each K step's
+  // MR A values are a contiguous slice of stored row p (tn_tile) — no
+  // transposition or packing.
   scale_c(c, static_cast<std::size_t>(m) * n, beta);
   constexpr int MR = 4;  // matches the 4-row environment-matrix operand
   constexpr int NR = TileShape<T>::nr;
@@ -248,10 +276,10 @@ void gemm_tn(const T* at, const T* b, T* c, int m, int n, int k, T alpha,
     const T* arow = at + ic;
     T* crow = c + static_cast<std::size_t>(ic) * n;
     for (int jc = 0; jc < n_main; jc += NR) {
-      micro_tile<T, MR, NR>(arow, b + jc, crow + jc, k, 1, m, n, n, alpha);
+      tn_tile<T, MR, NR>(arow, b + jc, crow + jc, k, m, n, n, alpha);
     }
     for (int jc = n_main; jc < n_vec; jc += NV) {
-      micro_tile<T, MR, NV>(arow, b + jc, crow + jc, k, 1, m, n, n, alpha);
+      tn_tile<T, MR, NV>(arow, b + jc, crow + jc, k, m, n, n, alpha);
     }
   }
   // Edges (m % 4 rows and n % NV columns): axpy sweep over the K rows.

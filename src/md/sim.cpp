@@ -1,7 +1,6 @@
 #include "md/sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -32,7 +31,8 @@ Sim::Sim(Box box, Atoms atoms, std::vector<double> masses,
     : box_(box), atoms_(std::move(atoms)), masses_(std::move(masses)),
       pair_(std::move(pair)),
       cfg_(resolve_config(cfg, box_, pair_->cutoff())),
-      nlist_({pair_->cutoff(), cfg_.skin, pair_->needs_full_list()}) {
+      nlist_({pair_->cutoff(), cfg_.skin, pair_->needs_full_list()}),
+      integrity_(cfg_.health, "") {
   DPMD_REQUIRE(pair_ != nullptr, "pair style required");
   for (int i = 0; i < atoms_.nlocal; ++i) {
     const int t = atoms_.type[static_cast<std::size_t>(i)];
@@ -71,12 +71,10 @@ void Sim::rebuild_lists() {
   }
   build_ghosts();
   nlist_.build(atoms_, box_);
-  // Interior/boundary split for the staged path, pinned to the build
-  // positions: the classification (like the list) stays valid while atoms
-  // drift under the skin, because its guarantee is about neighbor indices.
-  if (cfg_.staged) {
-    classify_partition(atoms_, box_, nlist_.list_cutoff(), partition_);
-  }
+  // Interior/boundary split, pinned to the build positions: the
+  // classification (like the list) stays valid while atoms drift under the
+  // skin, because its guarantee is about neighbor indices.
+  classify_partition(atoms_, box_, nlist_.list_cutoff(), partition_);
   x_at_build_.assign(atoms_.x.begin(), atoms_.x.begin() + atoms_.nlocal);
   // Let the style drop/refresh list-derived caches (PairDeepMD keeps its
   // packed env-batch structure between rebuilds; see md::Pair).
@@ -87,36 +85,19 @@ void Sim::rebuild_lists() {
 
 void Sim::compute_forces(bool ghosts_stale) {
   atoms_.zero_forces();
-  ForceResult res;
-  if (cfg_.staged) {
-    // Staged order (same contract as comm::DomainEngine): the interior
-    // partition runs against possibly stale ghost positions — which it
-    // never reads — then the ghost refresh (the engine's "forward comm"),
-    // then the boundary partition and any deferred monolithic styles.
-    ForceAccum accum;
-    {
-      ScopedTimer timer(timers_, "pair");
-      pair_->begin_step(atoms_, nlist_);
-      pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
-    }
-    if (ghosts_stale) {
-      ScopedTimer timer(timers_, "comm");
-      refresh_ghost_positions();
-    }
-    {
-      ScopedTimer timer(timers_, "pair");
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
-    }
-  } else {
-    if (ghosts_stale) {
-      ScopedTimer timer(timers_, "comm");
-      refresh_ghost_positions();
-    }
+  ForceAccum accum;
+  {
     ScopedTimer timer(timers_, "pair");
-    res = pair_->compute(atoms_, nlist_);
+    pair_->begin_step(atoms_, nlist_);
+    pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
+  }
+  if (ghosts_stale) {
+    ScopedTimer timer(timers_, "comm");
+    refresh_ghost_positions();
   }
   ScopedTimer timer(timers_, "pair");
+  pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
+  const ForceResult res = pair_->end_step(atoms_, nlist_, accum);
   fold_ghost_forces();
   pe_ = res.pe;
   virial_ = res.virial;
@@ -143,10 +124,8 @@ void Sim::setup() {
   // configurations (the force-field gradient tests rely on that).  The
   // snapshot stores positions/velocities, not forces, so it is a valid
   // rewind target either way.
-  if (cfg_.health.enabled && cfg_.health.snapshot_every > 0 &&
-      snapshot_.empty()) {
-    take_snapshot();
-  }
+  integrity_.ensure_snapshot(
+      steps_done_, [this](ckpt::Writer& w) { save_checkpoint(w); });
 }
 
 void Sim::step() {
@@ -173,16 +152,18 @@ void Sim::step() {
                        (cfg_.rebuild_on_drift && drift_exceeds_skin());
   if (rebuild) rebuild_lists();
 
-  // On non-rebuild steps the ghost refresh happens inside compute_forces:
-  // the staged path evaluates the interior partition first and refreshes
-  // "during" it (the distributed engine genuinely overlaps here).
+  // On non-rebuild steps the ghost refresh happens inside compute_forces,
+  // between the interior and boundary partitions (the distributed engine
+  // genuinely overlaps there).
   compute_forces(/*ghosts_stale=*/!rebuild);
 
   // Health guard (ISSUE 6): scan before the forces enter the velocities.
   // On a trip the whole step is abandoned — no second kick, no counter
   // advance — and the engine rewinds to the last snapshot (or aborts).
-  if (cfg_.health.enabled && health_tripped()) {
-    recover_or_abort("non-finite or blown-up forces/energy");
+  if (integrity_.rewound_after_trip(
+          atoms_, pe_, steps_done_,
+          [this](ckpt::Reader& r) { restore_checkpoint(r); }, cfg_.dt_fs,
+          *pair_)) {
     return;
   }
 
@@ -202,10 +183,8 @@ void Sim::step() {
     thermostat_->apply(atoms_, masses_, dt);
   }
   ++steps_done_;
-  if (cfg_.health.enabled && cfg_.health.snapshot_every > 0 &&
-      steps_done_ % cfg_.health.snapshot_every == 0) {
-    take_snapshot();
-  }
+  integrity_.step_completed(
+      steps_done_, [this](ckpt::Writer& w) { save_checkpoint(w); });
 }
 
 void Sim::run(int nsteps, int callback_every, const Callback& cb) {
@@ -312,44 +291,6 @@ void Sim::restore_checkpoint_file(const std::string& path) {
   auto r = ckpt::Reader::from_file(path);
   restore_checkpoint(r);
   r.expect_end();
-}
-
-void Sim::take_snapshot() {
-  ckpt::Writer w;
-  save_checkpoint(w);
-  snapshot_ = w.framed();
-  snapshot_step_ = steps_done_;
-  // Fresh snapshot = forward progress: the retry budget starts over.
-  trips_since_progress_ = 0;
-}
-
-void Sim::recover_or_abort(const char* cause) {
-  ++trips_since_progress_;
-  if (snapshot_.empty() || trips_since_progress_ > cfg_.health.max_retries) {
-    incidents_.record(steps_done_, "health", cause, "abort");
-    throw dpmd::Error(
-        "numerical health trip at step " + std::to_string(steps_done_) +
-        (snapshot_.empty() ? " with no snapshot to rewind to"
-                           : " after exhausting the retry budget") +
-        "; incidents:\n" + incidents_.summary());
-  }
-  std::string action = "rewind to step " + std::to_string(snapshot_step_) +
-                       " + forced rebuild";
-  ckpt::Reader r(snapshot_, "in-memory rewind snapshot");
-  restore_checkpoint(r);
-  r.expect_end();
-  // Escalation ladder: retry 1 is a pure rewind + rebuild, so a transient
-  // fault recovers onto the undisturbed trajectory; later retries change
-  // the numerics — applied *after* the restore, which just overwrote
-  // cfg_.dt_fs with the snapshot's value.
-  if (trips_since_progress_ >= 2) {
-    cfg_.dt_fs *= cfg_.health.dt_backoff;
-    action += ", dt -> " + std::to_string(cfg_.dt_fs) + " fs";
-  }
-  if (trips_since_progress_ >= 3 && pair_->degrade_to_conservative()) {
-    action += ", pair degraded to conservative numerics";
-  }
-  incidents_.record(steps_done_, "health", cause, action);
 }
 
 ThermoState Sim::thermo() const {

@@ -6,14 +6,13 @@
 
 #include "md/atoms.hpp"
 #include "md/box.hpp"
-#include "md/health.hpp"
+#include "md/integrity.hpp"
 #include "md/neighbor.hpp"
 #include "md/pair.hpp"
 #include "md/partition.hpp"
 #include "md/thermo.hpp"
 #include "md/thermostat.hpp"
 #include "util/checkpoint.hpp"
-#include "util/incident.hpp"
 #include "util/timer.hpp"
 
 namespace dpmd::md {
@@ -27,14 +26,6 @@ struct SimConfig {
   double skin = 2.0;
   int rebuild_every = 50;     ///< paper: lists rebuilt every 50 steps
   bool rebuild_on_drift = true;  ///< also rebuild when drift > skin/2
-  /// Route force evaluation through the staged Pair surface (ISSUE 3):
-  /// interior partition evaluated first (before the ghost positions are
-  /// refreshed — its stencils cannot reach a ghost), then the ghost
-  /// refresh, then the boundary partition.  The single-process engine has
-  /// nothing to overlap, but it exercises and validates the identical API
-  /// and ordering contract the distributed DomainEngine relies on; off =
-  /// the legacy refresh-then-monolithic-compute order.
-  bool staged = true;
 
   /// Numerical health guard + rewind recovery (ISSUE 6).
   HealthConfig health;
@@ -72,7 +63,9 @@ class Sim {
   const Box& box() const { return box_; }
   const std::vector<double>& masses() const { return masses_; }
   const NeighborList& nlist() const { return nlist_; }
-  /// Interior/boundary split of the last list build (staged path).
+  /// Interior/boundary split of the last list build: compute_forces runs
+  /// the interior partition before the ghost refresh and the boundary
+  /// partition after it (the staged order DomainEngine overlaps).
   const StagePartition& partition() const { return partition_; }
   Pair& pair() { return *pair_; }
   int steps_done() const { return steps_done_; }
@@ -108,7 +101,7 @@ class Sim {
   void restore_checkpoint_file(const std::string& path);
 
   /// Recovery events (health trips, rewinds, escalations) on this engine.
-  const IncidentLog& incidents() const { return incidents_; }
+  const IncidentLog& incidents() const { return integrity_.incidents(); }
 
  private:
   void build_ghosts();
@@ -116,21 +109,13 @@ class Sim {
   void fold_ghost_forces();
   void rebuild_lists();
   /// `ghosts_stale` = ghost positions still need the per-step refresh (any
-  /// non-rebuild step); the staged path refreshes them between the interior
-  /// and boundary partitions, the legacy path up front.
+  /// non-rebuild step).  Staged order (same contract as
+  /// comm::DomainEngine): the interior partition runs against possibly
+  /// stale ghost positions — which it never reads — then the ghost refresh
+  /// (the engine's "forward comm"), then the boundary partition and any
+  /// deferred monolithic styles.
   void compute_forces(bool ghosts_stale);
   bool drift_exceeds_skin() const;
-  /// In-memory rewind snapshot (framed checkpoint bytes).
-  void take_snapshot();
-  /// Recovery ladder after a health trip: rewind to the snapshot and force
-  /// a rebuild (retry 1), additionally back off dt (retry 2+), additionally
-  /// degrade the pair numerics (retry 3+); abort with the incident log once
-  /// the retry budget is spent without forward progress.
-  void recover_or_abort(const char* cause);
-  bool health_tripped() const {
-    return local_forces_unhealthy(atoms_, cfg_.health.max_force) ||
-           local_pe_unhealthy(pe_, atoms_.nlocal, cfg_.health.max_pe_per_atom);
-  }
 
   Box box_;
   Atoms atoms_;
@@ -150,14 +135,7 @@ class Sim {
   bool needs_setup_ = true;
   TimerRegistry timers_;
   rt::StopToken stop_;  ///< checked per step; default never stops
-
-  // Health-guard state (ISSUE 6): framed checkpoint bytes of the last
-  // healthy cadence point; the retry budget counts trips since the last
-  // snapshot (i.e. without forward progress).
-  std::vector<std::byte> snapshot_;
-  int snapshot_step_ = -1;
-  int trips_since_progress_ = 0;
-  IncidentLog incidents_;
+  Integrity integrity_;  ///< health guard + rewind snapshots
 };
 
 }  // namespace dpmd::md

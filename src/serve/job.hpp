@@ -7,7 +7,7 @@
 
 #include "core/inference.hpp"
 #include "md/box.hpp"
-#include "md/health.hpp"
+#include "md/integrity.hpp"
 #include "runtime/stop.hpp"
 #include "util/vec3.hpp"
 

@@ -18,11 +18,11 @@
 
 #include "comm/domain_engine.hpp"
 #include "core/pair_deepmd.hpp"
-#include "md/ghosts.hpp"
 #include "md/lattice.hpp"
 #include "md/pair_lj.hpp"
 #include "md/sim.hpp"
 #include "md/thermo.hpp"
+#include "reference_forces.hpp"
 #include "util/random.hpp"
 
 namespace dpmd {
@@ -84,50 +84,15 @@ std::shared_ptr<const dp::DPModel> small_dp_model() {
   return model;
 }
 
-/// Oracle: fresh single-process force evaluation at the given (tag-sorted)
-/// global positions — new ghosts, new exact-cutoff lists, no caches, no
-/// staged state.  Returns per-tag forces and the potential energy.
-struct Reference {
-  std::vector<Vec3> f;
-  double pe = 0.0;
-};
-
-Reference reference_forces(
-    const GlobalSystem& sys,
-    const std::vector<comm::DomainEngine::GlobalAtom>& all,
-    const std::function<std::shared_ptr<md::Pair>()>& mk) {
-  md::Atoms atoms;
-  for (const auto& a : all) {
-    Vec3 p = a.x;
-    sys.box.wrap(p);
-    atoms.add_local(p, {0, 0, 0},
-                    sys.type[static_cast<std::size_t>(a.tag)], a.tag);
-  }
-  auto pair = mk();
-  md::build_periodic_ghosts(atoms, sys.box, pair->cutoff());
-  md::NeighborList list({pair->cutoff(), 0.0, pair->needs_full_list()});
-  list.build(atoms, sys.box);
-  atoms.zero_forces();
-  const md::ForceResult res = pair->compute(atoms, list);
-  // Fold ghost-image forces onto the parents (Newton on).
-  for (int g = 0; g < atoms.nghost; ++g) {
-    atoms.f[static_cast<std::size_t>(
-        atoms.ghost_parent[static_cast<std::size_t>(g)])] +=
-        atoms.f[static_cast<std::size_t>(atoms.nlocal + g)];
-  }
-  Reference ref;
-  ref.f.assign(atoms.f.begin(), atoms.f.begin() + atoms.nlocal);
-  ref.pe = res.pe;
-  return ref;
-}
-
 /// Steps the cadenced engine and, after every step, checks the gathered
 /// forces against the fresh-evaluation oracle at the same positions.
-/// Returns rank 0's rebuild count.
+/// Returns rank 0's rebuild count; `final_atoms` (if given) receives the
+/// gathered end state.
 int run_and_check_every_step(
     const GlobalSystem& sys, const simmpi::CartGrid& grid,
-    const std::function<std::shared_ptr<md::Pair>()>& mk,
-    comm::DomainConfig cfg, int steps, double ftol) {
+    const oracle::PairFactory& mk, comm::DomainConfig cfg, int steps,
+    double ftol,
+    std::vector<comm::DomainEngine::GlobalAtom>* final_atoms = nullptr) {
   int rebuilds = 0;
   std::mutex mu;
   simmpi::run_world(grid.size(), [&](simmpi::Rank& rank) {
@@ -139,7 +104,8 @@ int run_and_check_every_step(
       const double pe = engine.total_pe();   // collective
       if (rank.rank() != 0) continue;
       ASSERT_EQ(all.size(), sys.x.size()) << "step " << s;
-      const Reference ref = reference_forces(sys, all, mk);
+      const oracle::Reference ref =
+          oracle::reference_forces(sys.box, all, sys.type, mk);
       EXPECT_NEAR(pe, ref.pe, 1e-9 * std::max(1.0, std::fabs(ref.pe)))
           << "step " << s;
       double fscale = 1e-3;  // rel-vs-abs floor for near-zero forces
@@ -151,9 +117,11 @@ int run_and_check_every_step(
             << "step " << s << " tag " << all[i].tag;
       }
     }
+    const auto all = engine.gather_all();  // collective
     if (rank.rank() == 0) {
       std::lock_guard lock(mu);
       rebuilds = engine.rebuild_count();
+      if (final_atoms != nullptr) *final_atoms = all;
     }
   });
   return rebuilds;
@@ -178,48 +146,26 @@ TEST(Cadence, LjRefreshStepsMatchFreshEvaluation) {
 }
 
 TEST(Cadence, LjAllSchedulesAgreeUnderCadence) {
-  // The three step schedules (legacy monolithic, staged sequential, staged
-  // overlapped) must agree through the refresh path exactly as they do
-  // through the rebuild path.
+  // Overlap on and off (the async flag of the interior partition) must
+  // both match the fresh oracle every step through the refresh path exactly
+  // as through the rebuild path, and agree with each other.
   const GlobalSystem sys = make_lj_gas(120, 24.0, 50.0, 40.0, 23);
   const simmpi::CartGrid grid(2, 1, 1);
   const auto mk = [] { return make_lj(5.0); };
   const int steps = 14;
 
-  struct Run {
-    std::vector<comm::DomainEngine::GlobalAtom> atoms;
-  };
-  const auto run_cfg = [&](comm::DomainConfig cfg) {
-    Run out;
-    std::mutex mu;
-    simmpi::run_world(grid.size(), [&](simmpi::Rank& rank) {
-      comm::DomainEngine engine(rank, grid, sys.box, sys.masses, mk(), cfg);
-      engine.seed(sys.x, sys.v, sys.type);
-      engine.run(steps);
-      const auto all = engine.gather_all();
-      if (rank.rank() == 0) {
-        std::lock_guard lock(mu);
-        out.atoms = all;
-      }
-    });
-    return out;
-  };
+  comm::DomainConfig cfg{.dt_fs = 1.0, .skin = 1.0, .rebuild_every = 5};
+  std::vector<comm::DomainEngine::GlobalAtom> sequential, overlapped;
+  cfg.overlap = false;
+  run_and_check_every_step(sys, grid, mk, cfg, steps, 1e-9, &sequential);
+  cfg.overlap = true;
+  run_and_check_every_step(sys, grid, mk, cfg, steps, 1e-9, &overlapped);
 
-  comm::DomainConfig base{.dt_fs = 1.0, .skin = 1.0, .rebuild_every = 5};
-  base.staged = false;
-  const Run legacy = run_cfg(base);
-  base.staged = true;
-  base.overlap = false;
-  const Run sequential = run_cfg(base);
-  base.overlap = true;
-  const Run overlapped = run_cfg(base);
-
-  ASSERT_EQ(legacy.atoms.size(), sys.x.size());
-  for (std::size_t i = 0; i < legacy.atoms.size(); ++i) {
-    EXPECT_LT((sequential.atoms[i].x - legacy.atoms[i].x).norm(), 1e-9);
-    EXPECT_LT((overlapped.atoms[i].x - legacy.atoms[i].x).norm(), 1e-9);
-    EXPECT_LT((sequential.atoms[i].f - legacy.atoms[i].f).norm(), 1e-9);
-    EXPECT_LT((overlapped.atoms[i].f - legacy.atoms[i].f).norm(), 1e-9);
+  ASSERT_EQ(sequential.size(), sys.x.size());
+  ASSERT_EQ(overlapped.size(), sys.x.size());
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    EXPECT_LT((overlapped[i].x - sequential[i].x).norm(), 1e-9);
+    EXPECT_LT((overlapped[i].f - sequential[i].f).norm(), 1e-9);
   }
 }
 
@@ -409,28 +355,15 @@ TEST(Cadence, SimDpEnvReuseMatchesFreshEvaluationEachStep) {
   for (int s = 0; s < 10; ++s) {
     sim.step();
     // Fresh oracle at the post-step positions.
-    md::Atoms ref;
-    for (int i = 0; i < sim.atoms().nlocal; ++i) {
-      Vec3 p = sim.atoms().x[static_cast<std::size_t>(i)];
-      box.wrap(p);
-      ref.add_local(p, {0, 0, 0},
-                    sim.atoms().type[static_cast<std::size_t>(i)],
-                    sim.atoms().tag[static_cast<std::size_t>(i)]);
-    }
-    dp::PairDeepMD fresh(model, dp::EvalOptions{});
-    md::build_periodic_ghosts(ref, box, fresh.cutoff());
-    md::NeighborList list({fresh.cutoff(), 0.0, true});
-    list.build(ref, box);
-    ref.zero_forces();
-    fresh.compute(ref, list);
-    for (int g = 0; g < ref.nghost; ++g) {
-      ref.f[static_cast<std::size_t>(
-          ref.ghost_parent[static_cast<std::size_t>(g)])] +=
-          ref.f[static_cast<std::size_t>(ref.nlocal + g)];
-    }
-    for (int i = 0; i < ref.nlocal; ++i) {
-      const Vec3 df = sim.atoms().f[static_cast<std::size_t>(i)] -
-                      ref.f[static_cast<std::size_t>(i)];
+    const md::Atoms& at = sim.atoms();
+    const auto n = static_cast<std::size_t>(at.nlocal);
+    const oracle::Reference ref = oracle::reference_forces(
+        box, std::vector<Vec3>(at.x.begin(), at.x.begin() + n),
+        std::vector<int>(at.type.begin(), at.type.begin() + n), [&] {
+          return std::make_shared<dp::PairDeepMD>(model, dp::EvalOptions{});
+        });
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec3 df = sim.atoms().f[i] - ref.f[i];
       EXPECT_LT(df.norm(), 1e-10) << "step " << s << " atom " << i;
     }
   }

@@ -2,12 +2,15 @@
 // rejects corruption; md::Sim restores bit-exactly (state-wise) and a
 // restart resumed from a rebuild-boundary checkpoint reproduces the
 // uninterrupted trajectory; comm::DomainEngine restarts per-rank on 2-4
-// ranks; engine-kind and geometry mismatches are named errors.
+// ranks; engine-kind and geometry mismatches are named errors; checkpoints
+// committed under tests/data by an earlier build still restore.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -389,6 +392,68 @@ TEST(DomainCheckpoint, RejectsWrongRankCountOrRank) {
   });
   for (int r = 0; r < 2; ++r) {
     std::remove(comm::DomainEngine::rank_checkpoint_path(base, r).c_str());
+  }
+}
+
+// ------------------------------------------------ cross-version restore ----
+// tests/data holds checkpoints written by an earlier build of the engines
+// (see tests/data/README.md for the systems and how they were made).  The
+// current code must restore them, and saving the restored engine again must
+// reproduce the committed bytes exactly — same format, same fields, same
+// order.  A byte comparison of restored state, so it holds on any host.
+
+std::string data_path(const std::string& name) {
+  return std::string(DPMD_TEST_DATA_DIR) + "/" + name;
+}
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.good()) << "cannot open " << path;
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+TEST(CheckpointCompat, CommittedSimCheckpointRestoresAndResavesIdentically) {
+  const GlobalSystem sys = make_lj_gas(40, 18.0, 50.0, 40.0, 131);
+  const md::SimConfig cfg{.dt_fs = 1.0, .skin = 1.0, .rebuild_every = 4};
+  md::Sim sim(sys.box, atoms_of(sys), sys.masses, make_lj(5.0), cfg);
+  sim.set_thermostat(std::make_unique<md::LangevinThermostat>(50.0, 0.05, 7));
+  const std::string committed = data_path("sim_lj40.ckpt");
+  sim.restore_checkpoint_file(committed);
+  EXPECT_EQ(sim.steps_done(), 7);
+
+  const std::string resaved = temp_path("sim_lj40_resaved.ckpt");
+  sim.save_checkpoint_file(resaved);
+  EXPECT_EQ(read_bytes(resaved), read_bytes(committed));
+  std::remove(resaved.c_str());
+  // The restored state is live: it steps on through the forced rebuild.
+  sim.run(3);
+  EXPECT_EQ(sim.steps_done(), 10);
+  EXPECT_TRUE(std::isfinite(sim.pe()));
+}
+
+TEST(CheckpointCompat, CommittedDomainCheckpointsRestoreAndResaveIdentically) {
+  const GlobalSystem sys = make_lj_gas(60, 20.0, 60.0, 40.0, 137);
+  const simmpi::CartGrid grid(2, 1, 1);
+  const comm::DomainConfig cfg{.dt_fs = 1.0, .skin = 0.9, .rebuild_every = 5};
+  const std::string committed = data_path("domain_lj60_2rank.ckpt");
+  const std::string resaved = temp_path("domain_lj60_2rank_resaved.ckpt");
+  simmpi::run_world(grid.size(), [&](simmpi::Rank& rank) {
+    comm::DomainEngine engine(rank, grid, sys.box, sys.masses, make_lj(4.0),
+                              cfg);
+    engine.restore_checkpoint_file(committed);
+    EXPECT_EQ(engine.steps_done(), 7);
+    engine.save_checkpoint_file(resaved);
+    engine.run(3);
+    EXPECT_EQ(engine.steps_done(), 10);
+    EXPECT_TRUE(std::isfinite(engine.total_pe()));
+  });
+  for (int r = 0; r < grid.size(); ++r) {
+    const auto path = [r](const std::string& base) {
+      return comm::DomainEngine::rank_checkpoint_path(base, r);
+    };
+    const std::string out = path(resaved);
+    EXPECT_EQ(read_bytes(out), read_bytes(path(committed))) << "rank " << r;
+    std::remove(out.c_str());
   }
 }
 

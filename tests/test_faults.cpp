@@ -277,6 +277,9 @@ TEST(HealthGuard, PersistentFaultAbortsWithIncidentLog) {
     if (inc.action.find("dt ->") != std::string::npos) saw_dt_backoff = true;
   }
   EXPECT_TRUE(saw_dt_backoff);
+  // ... and the engine really runs on it: every rewind restores the
+  // snapshot's dt (taken before the fault), then backs it off once.
+  EXPECT_DOUBLE_EQ(sim.config().dt_fs, cfg.dt_fs * cfg.health.dt_backoff);
 }
 
 TEST(HealthGuard, DomainNaNOnOneRankRewindsAllRanksOntoTheOracle) {

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "gemm/gemm.hpp"
@@ -478,6 +486,201 @@ TEST(Transpose, RoundTrip) {
   EXPECT_DOUBLE_EQ(t[static_cast<std::size_t>(3) * r + 2],
                    m[static_cast<std::size_t>(2) * c + 3]);
 }
+
+// --------------------------------------------------- guard-page sweep ----
+// Every operand of every GEMM entry point is placed flush against a
+// PROT_NONE page — once ending right before it, once starting right after
+// it — so a kernel that touches a single element outside an operand faults
+// here, in the build that ships, instead of reading a neighbour's memory in
+// production.  Shapes cover the tile edges: M % MR != 0, N < NR,
+// N % NV != 0, K in {1, 2, 3} and K across the kKc chunk boundary.
+
+/// n elements of T flush against an inaccessible page: with `at_end` the
+/// last element is the last byte before the guard page, otherwise the first
+/// element is the first byte after it.
+template <class T>
+class GuardedBuffer {
+ public:
+  GuardedBuffer(const std::vector<T>& init, bool at_end) : n_(init.size()) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = std::max<std::size_t>(n_ * sizeof(T), 1);
+    const std::size_t data_pages = (bytes + page - 1) / page;
+    len_ = (data_pages + 1) * page;
+    void* m = mmap(nullptr, len_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<std::byte*>(m);
+    std::byte* guard = at_end ? base_ + data_pages * page : base_;
+    if (mprotect(guard, page, PROT_NONE) != 0) {
+      munmap(base_, len_);
+      throw std::runtime_error("mprotect failed");
+    }
+    data_ = reinterpret_cast<T*>(at_end ? guard - n_ * sizeof(T)
+                                        : base_ + page);
+    std::copy(init.begin(), init.end(), data_);
+  }
+  ~GuardedBuffer() { munmap(base_, len_); }
+  GuardedBuffer(const GuardedBuffer&) = delete;
+  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
+
+  T* data() { return data_; }
+  std::vector<T> values() const { return {data_, data_ + n_}; }
+
+ private:
+  std::size_t n_;
+  std::size_t len_ = 0;
+  std::byte* base_ = nullptr;
+  T* data_ = nullptr;
+};
+
+template <class T>
+std::vector<T> random_values(std::size_t n, Rng& rng) {
+  std::vector<T> v(n);
+  for (auto& x : v) x = static_cast<T>(rng.uniform(-1.0, 1.0));
+  return v;
+}
+
+template <class T>
+void expect_close(const std::vector<T>& got, const std::vector<T>& want,
+                  double tol, const char* kernel) {
+  ASSERT_EQ(got.size(), want.size()) << kernel;
+  double d = 0.0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    d = std::max(d, std::fabs(static_cast<double>(got[i]) -
+                              static_cast<double>(want[i])));
+  }
+  EXPECT_LT(d, tol) << kernel;
+}
+
+/// Runs every entry point on one (m, n, k) shape with all operands guarded
+/// and checks each result against gemm_ref.
+template <class T>
+void guarded_sweep_one(int m, int n, int k, bool at_end, Rng& rng) {
+  const auto mk = static_cast<std::size_t>(m) * k;
+  const auto kn = static_cast<std::size_t>(k) * n;
+  const auto mn = static_cast<std::size_t>(m) * n;
+  const double tol = (sizeof(T) == 8 ? 1e-12 : 2e-5) * (k + 1);
+  const std::vector<T> a = random_values<T>(mk, rng);
+  const std::vector<T> b = random_values<T>(kn, rng);
+  std::vector<T> at(mk), bt(kn), bp(kn);
+  transpose(a.data(), at.data(), m, k);
+  transpose(b.data(), bt.data(), k, n);
+  pack_b(b.data(), bp.data(), k, n);
+  std::vector<T> ref(mn);
+  gemm_ref(a.data(), b.data(), ref.data(), m, n, k);
+
+  GuardedBuffer<T> ga(a, at_end), gb(b, at_end), gat(at, at_end),
+      gbt(bt, at_end), gbp(bp, at_end);
+  const auto run = [&](const char* kernel, const auto& call) {
+    GuardedBuffer<T> gc(std::vector<T>(mn, T(0)), at_end);
+    call(gc.data());
+    expect_close(gc.values(), ref, tol, kernel);
+  };
+  run("gemm_tn", [&](T* c) { gemm_tn(gat.data(), gb.data(), c, m, n, k); });
+  run("gemm_nt", [&](T* c) { gemm_nt(ga.data(), gbt.data(), c, m, n, k); });
+  run("gemm_blocked",
+      [&](T* c) { gemm_blocked(ga.data(), gb.data(), c, m, n, k); });
+  run("gemm_packed",
+      [&](T* c) { gemm_packed(ga.data(), gbp.data(), c, m, n, k); });
+  run("sve_gemm", [&](T* c) { sve_gemm(ga.data(), gb.data(), c, m, n, k); });
+  run("gemm_auto", [&](T* c) { gemm_auto(ga.data(), gb.data(), c, m, n, k); });
+  run("gemm_auto(packed)", [&](T* c) {
+    gemm_auto(ga.data(), gb.data(), static_cast<const T*>(gbp.data()), c, m,
+              n, k);
+  });
+
+  // gemm_batched: two items (m and m + 1 rows) with the bias + tanh + skip
+  // epilogue, so a, c, c2, skip and bias are all read or written.
+  const std::vector<T> bias = random_values<T>(static_cast<std::size_t>(n),
+                                               rng);
+  GuardedBuffer<T> gbias(bias, at_end);
+  for (const bool packed : {false, true}) {
+    std::vector<std::unique_ptr<GuardedBuffer<T>>> keep;
+    std::vector<GemmBatchItem<T>> items;
+    std::vector<std::vector<T>> want_c, want_c2;
+    for (const int mi : {m, m + 1}) {
+      const auto rows = static_cast<std::size_t>(mi);
+      const std::vector<T> ai = random_values<T>(rows * k, rng);
+      const std::vector<T> skip = random_values<T>(rows * n, rng);
+      std::vector<T> c(rows * n);
+      gemm_ref(ai.data(), b.data(), c.data(), mi, n, k);
+      std::vector<T> c2(c.size());
+      for (std::size_t e = 0; e < c.size(); ++e) {
+        c[e] = std::tanh(c[e] + bias[e % static_cast<std::size_t>(n)]);
+        c2[e] = c[e] + skip[e];
+      }
+      want_c.push_back(c);
+      want_c2.push_back(c2);
+      for (const auto* init : {&ai, &skip}) {
+        keep.push_back(std::make_unique<GuardedBuffer<T>>(*init, at_end));
+      }
+      for (int out = 0; out < 2; ++out) {
+        keep.push_back(std::make_unique<GuardedBuffer<T>>(
+            std::vector<T>(rows * n, T(0)), at_end));
+      }
+      GemmBatchItem<T> it;
+      const std::size_t base = keep.size() - 4;
+      it.a = keep[base]->data();
+      it.skip = keep[base + 1]->data();
+      it.c = keep[base + 2]->data();
+      it.c2 = keep[base + 3]->data();
+      it.m = mi;
+      items.push_back(it);
+    }
+    gemm_batched(items.data(), static_cast<int>(items.size()), gb.data(),
+                 packed ? static_cast<const T*>(gbp.data()) : nullptr,
+                 gbias.data(), n, k, Epilogue::BiasTanhSkip);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const char* kernel = packed ? "gemm_batched(packed)" : "gemm_batched";
+      expect_close(keep[4 * i + 2]->values(), want_c[i], tol, kernel);
+      expect_close(keep[4 * i + 3]->values(), want_c2[i], tol, kernel);
+    }
+  }
+
+  if constexpr (std::is_same_v<T, float>) {
+    // Reduced-precision weights: the oracle is gemm_ref over the rounded
+    // weights, so only accumulation order separates the two.
+    std::vector<Half> bh(kn);
+    std::vector<Bf16> bb(kn);
+    convert_to_half(b.data(), bh.data(), kn);
+    convert_to_bf16(b.data(), bb.data(), kn);
+    std::vector<float> b_round(kn);
+    convert_to_float(bh.data(), b_round.data(), kn);
+    gemm_ref(a.data(), b_round.data(), ref.data(), m, n, k);
+    GuardedBuffer<Half> gbh(bh, at_end);
+    run("gemm_halfw",
+        [&](float* c) { gemm_halfw(ga.data(), gbh.data(), c, m, n, k); });
+    convert_to_float(bb.data(), b_round.data(), kn);
+    gemm_ref(a.data(), b_round.data(), ref.data(), m, n, k);
+    GuardedBuffer<Bf16> gbb(bb, at_end);
+    run("gemm_bf16w",
+        [&](float* c) { gemm_bf16w(ga.data(), gbb.data(), c, m, n, k); });
+  }
+}
+
+template <class T>
+void guarded_sweep() {
+  Rng rng(sizeof(T) == 8 ? 4242 : 2424);
+  for (const bool at_end : {true, false}) {
+    for (const int m : {1, 2, 3, 4, 5, 7, 8, 9, 17}) {
+      for (const int n : {1, 2, 3, 5, 8, 9, 16, 17, 24, 25, 48, 50}) {
+        for (const int k : {1, 2, 3, 5, 16, 257}) {
+          std::ostringstream where;
+          where << "m=" << m << " n=" << n << " k=" << k
+                << (at_end ? " guard after" : " guard before");
+          SCOPED_TRACE(where.str());
+          guarded_sweep_one<T>(m, n, k, at_end, rng);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmGuardPages, EveryKernelStaysInBoundsDouble) {
+  guarded_sweep<double>();
+}
+
+TEST(GemmGuardPages, EveryKernelStaysInBoundsFloat) { guarded_sweep<float>(); }
 
 }  // namespace
 }  // namespace dpmd::gemm

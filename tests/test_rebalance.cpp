@@ -22,9 +22,9 @@
 
 #include "comm/domain_engine.hpp"
 #include "loadbalance/loadbalance.hpp"
-#include "md/ghosts.hpp"
 #include "md/pair_lj.hpp"
 #include "md/thermo.hpp"
+#include "reference_forces.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -84,42 +84,6 @@ std::shared_ptr<md::PairLJ> make_lj(double rc) {
   return pair;
 }
 
-/// The uniform-grid oracle: a fresh single-process force evaluation at the
-/// given gathered positions — periodic ghosts, exact-cutoff lists, no
-/// decomposition, no caches.
-struct Reference {
-  std::vector<Vec3> f;
-  double pe = 0.0;
-};
-
-Reference reference_forces(
-    const GlobalSystem& sys,
-    const std::vector<comm::DomainEngine::GlobalAtom>& all,
-    const std::function<std::shared_ptr<md::Pair>()>& mk) {
-  md::Atoms atoms;
-  for (const auto& a : all) {
-    Vec3 p = a.x;
-    sys.box.wrap(p);
-    atoms.add_local(p, {0, 0, 0},
-                    sys.type[static_cast<std::size_t>(a.tag)], a.tag);
-  }
-  auto pair = mk();
-  md::build_periodic_ghosts(atoms, sys.box, pair->cutoff());
-  md::NeighborList list({pair->cutoff(), 0.0, pair->needs_full_list()});
-  list.build(atoms, sys.box);
-  atoms.zero_forces();
-  const md::ForceResult res = pair->compute(atoms, list);
-  for (int g = 0; g < atoms.nghost; ++g) {
-    atoms.f[static_cast<std::size_t>(
-        atoms.ghost_parent[static_cast<std::size_t>(g)])] +=
-        atoms.f[static_cast<std::size_t>(atoms.nlocal + g)];
-  }
-  Reference ref;
-  ref.f.assign(atoms.f.begin(), atoms.f.begin() + atoms.nlocal);
-  ref.pe = res.pe;
-  return ref;
-}
-
 /// What a balanced run reports back to the checks below.
 struct RunReport {
   int rebalances = 0;
@@ -162,7 +126,9 @@ RunReport run_and_check_every_step(
       }
       if (rank.rank() != 0) continue;
       ASSERT_EQ(all.size(), sys.x.size()) << "step " << s;
-      const Reference ref = reference_forces(sys, all, mk);
+      // The uniform-grid oracle: no decomposition at all.
+      const oracle::Reference ref =
+          oracle::reference_forces(sys.box, all, sys.type, mk);
       EXPECT_NEAR(pe, ref.pe, 1e-9 * std::max(1.0, std::fabs(ref.pe)))
           << "step " << s;
       double fscale = 1e-3;  // rel-vs-abs floor for near-zero forces
@@ -370,26 +336,20 @@ TEST(Rebalance, ComposesWithCadenceFifty) {
   EXPECT_GE(report.rebalances, 1);
 }
 
-TEST(Rebalance, ComposesWithOverlapOnOffAndLegacy) {
+TEST(Rebalance, ComposesWithOverlapOnAndOff) {
   const GlobalSystem sys =
       make_droplet(48, 32.0, {11.5, 11.5, 16.0}, 10.5, 40.0, 40.0, 97);
   const simmpi::CartGrid grid(2, 2, 1);
   const auto mk = [] { return make_lj(5.0); };
   comm::DomainConfig cfg{.dt_fs = 1.0, .skin = 1.0, .rebuild_every = 5,
                          .rebalance_every = 10};
-  cfg.staged = true;
-  cfg.overlap = true;
-  EXPECT_GE(run_and_check_every_step(sys, grid, mk, cfg, 25, 1e-10)
-                .rebalances,
-            1);
-  cfg.overlap = false;
-  EXPECT_GE(run_and_check_every_step(sys, grid, mk, cfg, 25, 1e-10)
-                .rebalances,
-            1);
-  cfg.staged = false;
-  EXPECT_GE(run_and_check_every_step(sys, grid, mk, cfg, 25, 1e-10)
-                .rebalances,
-            1);
+  for (const bool overlap : {true, false}) {
+    cfg.overlap = overlap;
+    EXPECT_GE(run_and_check_every_step(sys, grid, mk, cfg, 25, 1e-10)
+                  .rebalances,
+              1)
+        << "overlap " << overlap;
+  }
 }
 
 }  // namespace

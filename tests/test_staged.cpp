@@ -1,15 +1,17 @@
 // Staged force API (ISSUE 3): the staged begin_step / compute_partition /
-// end_step path must produce the same forces, potential energy and virial
-// as the monolithic Pair::compute across every pair style — including the
-// default adapter (EAM) and the natively partitioned Deep Potential — on
-// both the single-process Sim and the distributed DomainEngine, with and
-// without exchange/compute overlap.  Plus the interior/boundary
-// classification edge cases and the new async runtime/comm primitives the
-// overlap path is built on.
+// end_step schedule must produce, every step, the forces and potential
+// energy of the fresh monolithic oracle (Pair::compute on new ghosts and
+// exact-cutoff lists, tests/reference_forces.hpp) across every pair style —
+// including the default adapter (EAM) and the natively partitioned Deep
+// Potential — on both the single-process Sim and the distributed
+// DomainEngine, with exchange/compute overlap on and off (which must also
+// agree with each other).  Plus the interior/boundary classification edge
+// cases and the async runtime/comm primitives the overlap path is built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <numeric>
 
@@ -23,6 +25,7 @@
 #include "md/partition.hpp"
 #include "md/sim.hpp"
 #include "md/thermo.hpp"
+#include "reference_forces.hpp"
 #include "runtime/threadpool.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -80,7 +83,7 @@ TEST(Partition, EmptyBoundaryWhenAllAtomsDeepInside) {
 }
 
 // ---------------------------------------------------------------------------
-// Sim: staged == monolithic for every pair style
+// Sim: staged == fresh monolithic oracle for every pair style
 // ---------------------------------------------------------------------------
 
 struct GasSystem {
@@ -113,65 +116,57 @@ GasSystem make_gas(int natoms, double box_len, double min_sep, int ntypes,
   return sys;
 }
 
-/// Runs the same system staged and monolithic; asserts forces/pe/virial of
-/// the first evaluation and the trajectory after `steps` agree.
-void expect_staged_equals_monolithic(
-    const GasSystem& sys, const std::function<std::shared_ptr<md::Pair>()>& mk,
-    int steps, double ftol, double xtol) {
-  auto run = [&](bool staged) {
-    md::Atoms atoms = sys.atoms;
-    md::SimConfig cfg{.dt_fs = 0.5, .skin = 1.0, .rebuild_every = 4};
-    cfg.staged = staged;
-    return md::Sim(sys.box, std::move(atoms), sys.masses, mk(), cfg);
-  };
-  md::Sim staged = run(true);
-  md::Sim mono = run(false);
-  staged.setup();
-  mono.setup();
-
-  ASSERT_EQ(staged.atoms().nlocal, mono.atoms().nlocal);
-  EXPECT_NEAR(staged.pe(), mono.pe(),
-              ftol * std::max(1.0, std::fabs(mono.pe())));
-  EXPECT_NEAR(staged.virial(), mono.virial(),
-              ftol * std::max(1.0, std::fabs(mono.virial())));
-  for (int i = 0; i < staged.atoms().nlocal; ++i) {
-    const Vec3 df = staged.atoms().f[static_cast<std::size_t>(i)] -
-                    mono.atoms().f[static_cast<std::size_t>(i)];
-    EXPECT_LT(df.norm(), ftol) << "force mismatch at atom " << i;
-  }
-
-  staged.run(steps);
-  mono.run(steps);
-  for (int i = 0; i < staged.atoms().nlocal; ++i) {
-    const Vec3 dx = sys.box.minimum_image(
-        staged.atoms().x[static_cast<std::size_t>(i)],
-        mono.atoms().x[static_cast<std::size_t>(i)]);
-    EXPECT_LT(dx.norm(), xtol) << "trajectory mismatch at atom " << i;
+/// Runs the staged Sim and, at setup and after every step, checks its
+/// forces (|df| < ftol), potential energy and virial (relative ftol)
+/// against the fresh monolithic oracle at the Sim's own positions.
+void expect_staged_matches_oracle(const GasSystem& sys,
+                                  const oracle::PairFactory& mk, int steps,
+                                  double ftol) {
+  md::Atoms atoms = sys.atoms;
+  md::SimConfig cfg{.dt_fs = 0.5, .skin = 1.0, .rebuild_every = 4};
+  md::Sim sim(sys.box, std::move(atoms), sys.masses, mk(), cfg);
+  sim.setup();
+  for (int s = 0; s <= steps; ++s) {
+    if (s > 0) sim.step();
+    const md::Atoms& at = sim.atoms();
+    const auto n = static_cast<std::size_t>(at.nlocal);
+    const oracle::Reference ref = oracle::reference_forces(
+        sys.box, std::vector<Vec3>(at.x.begin(), at.x.begin() + n),
+        std::vector<int>(at.type.begin(), at.type.begin() + n), mk);
+    EXPECT_NEAR(sim.pe(), ref.pe, ftol * std::max(1.0, std::fabs(ref.pe)))
+        << "step " << s;
+    EXPECT_NEAR(sim.virial(), ref.virial,
+                ftol * std::max(1.0, std::fabs(ref.virial)))
+        << "step " << s;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LT((at.f[i] - ref.f[i]).norm(), ftol)
+          << "step " << s << " atom " << i;
+    }
   }
 }
 
 TEST(StagedSim, LjMatchesMonolithic) {
   const GasSystem sys = make_gas(120, 22.0, 3.0, 1, 60.0, 11);
-  expect_staged_equals_monolithic(
+  expect_staged_matches_oracle(
       sys,
       [] {
         auto p = std::make_shared<md::PairLJ>(1, 5.0);
         p->set_pair(0, 0, 0.0104, 3.4);
         return p;
       },
-      12, 1e-11, 1e-9);
+      12, 1e-11);
 }
 
 TEST(StagedSim, MorseMatchesMonolithic) {
   const GasSystem sys = make_gas(100, 20.0, 2.6, 1, 80.0, 13);
-  expect_staged_equals_monolithic(
+  expect_staged_matches_oracle(
       sys,
       [] {
         auto p = std::make_shared<md::PairMorse>(1, 4.5);
         p->set_pair(0, 0, 0.05, 1.5, 2.8);
         return p;
       },
-      12, 1e-11, 1e-9);
+      12, 1e-11);
 }
 
 TEST(StagedSim, EamDefaultAdapterMatchesMonolithic) {
@@ -179,15 +174,14 @@ TEST(StagedSim, EamDefaultAdapterMatchesMonolithic) {
   // through the default staged adapter: partitions defer, end_step runs
   // compute() after the ghost refresh.  Identical math, identical result.
   const GasSystem sys = make_gas(80, 20.0, 3.2, 1, 50.0, 17);
-  expect_staged_equals_monolithic(
-      sys, [] { return std::make_shared<md::PairEamSC>(); }, 10, 1e-11, 1e-9);
+  expect_staged_matches_oracle(
+      sys, [] { return std::make_shared<md::PairEamSC>(); }, 10, 1e-11);
 }
 
 TEST(StagedSim, WaterRefMatchesMonolithic) {
   const GasSystem sys = make_gas(96, 18.0, 1.6, 2, 120.0, 19);
-  expect_staged_equals_monolithic(
-      sys, [] { return std::make_shared<md::PairWaterRef>(); }, 10, 1e-11,
-      1e-9);
+  expect_staged_matches_oracle(
+      sys, [] { return std::make_shared<md::PairWaterRef>(); }, 10, 1e-11);
 }
 
 std::shared_ptr<dp::DPModel> small_dp_model(uint64_t seed) {
@@ -208,27 +202,27 @@ std::shared_ptr<dp::DPModel> small_dp_model(uint64_t seed) {
 TEST(StagedSim, DpPerAtomMatchesMonolithic) {
   const GasSystem sys = make_gas(64, 16.0, 1.8, 2, 80.0, 23);
   auto model = small_dp_model(29);
-  expect_staged_equals_monolithic(
+  expect_staged_matches_oracle(
       sys,
       [&] {
         dp::EvalOptions opts;
         opts.block_size = 1;  // legacy per-atom oracle path
         return std::make_shared<dp::PairDeepMD>(model, opts);
       },
-      6, 1e-9, 1e-8);
+      6, 1e-9);
 }
 
 TEST(StagedSim, DpBatchedMatchesMonolithic) {
   const GasSystem sys = make_gas(64, 16.0, 1.8, 2, 80.0, 23);
   auto model = small_dp_model(29);
-  expect_staged_equals_monolithic(
+  expect_staged_matches_oracle(
       sys,
       [&] {
         dp::EvalOptions opts;
         opts.block_size = 16;  // partitions split into batched blocks
         return std::make_shared<dp::PairDeepMD>(model, opts);
       },
-      6, 1e-9, 1e-8);
+      6, 1e-9);
 }
 
 TEST(StagedSim, EmptyBoundaryPartitionStillCorrect) {
@@ -265,11 +259,11 @@ TEST(StagedSim, EmptyBoundaryPartitionStillCorrect) {
   EXPECT_TRUE(sim.partition().boundary.empty());
   EXPECT_EQ(static_cast<int>(sim.partition().interior.size()),
             sim.atoms().nlocal);
-  expect_staged_equals_monolithic(sys, mk, 10, 1e-11, 1e-9);
+  expect_staged_matches_oracle(sys, mk, 10, 1e-11);
 }
 
 // ---------------------------------------------------------------------------
-// DomainEngine: staged/overlap == legacy monolithic across ranks
+// DomainEngine: overlap on and off == fresh monolithic oracle across ranks
 // ---------------------------------------------------------------------------
 
 struct GlobalArrays {
@@ -287,32 +281,55 @@ GlobalArrays arrays_of(const GasSystem& sys) {
   return g;
 }
 
-/// Runs the domain engine with the given config on `grid`, returns the
-/// gathered (sorted-by-tag) atoms and the total pe after `steps`.
+/// Gathered (sorted-by-tag) atoms and total pe at the end of a run.
 struct EngineRun {
   std::vector<comm::DomainEngine::GlobalAtom> atoms;
   double pe = 0.0;
 };
 
-EngineRun run_engine(const GasSystem& sys, const simmpi::CartGrid& grid,
-                     const std::function<std::shared_ptr<md::Pair>()>& mk,
-                     comm::DomainConfig cfg, int steps) {
+/// Steps the domain engine `steps` times on `grid` and, after every step,
+/// checks the gathered forces (|df| < tol) and the total potential energy
+/// (relative tol) against the fresh monolithic oracle at the gathered
+/// positions.  `mk_rank` builds each rank's pair (e.g. on that rank's
+/// thread pool), `mk_ref` the oracle's.
+EngineRun run_engine_checked(
+    const GasSystem& sys, const simmpi::CartGrid& grid,
+    const std::function<std::shared_ptr<md::Pair>(int rank)>& mk_rank,
+    const oracle::PairFactory& mk_ref, comm::DomainConfig cfg, int steps,
+    double tol) {
   const GlobalArrays g = arrays_of(sys);
   EngineRun out;
-  std::mutex mu;
   simmpi::run_world(grid.size(), [&](simmpi::Rank& rank) {
-    comm::DomainEngine engine(rank, grid, sys.box, sys.masses, mk(), cfg);
+    comm::DomainEngine engine(rank, grid, sys.box, sys.masses,
+                              mk_rank(rank.rank()), cfg);
     engine.seed(g.x, g.v, g.type);
-    engine.run(steps);
-    const auto all = engine.gather_all();
-    const double pe = engine.total_pe();
-    if (rank.rank() == 0) {
-      std::lock_guard lock(mu);
-      out.atoms = all;
+    for (int s = 1; s <= steps; ++s) {
+      engine.step();
+      const auto all = engine.gather_all();  // collective
+      const double pe = engine.total_pe();   // collective
+      if (rank.rank() != 0) continue;
+      EXPECT_EQ(all.size(), g.x.size()) << "step " << s;
+      const oracle::Reference ref =
+          oracle::reference_forces(sys.box, all, g.type, mk_ref);
+      EXPECT_NEAR(pe, ref.pe, tol * std::max(1.0, std::fabs(ref.pe)))
+          << "step " << s;
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        EXPECT_LT((all[i].f - ref.f[i]).norm(), tol)
+            << "step " << s << " tag " << all[i].tag;
+      }
+      out.atoms = all;  // rank 0 only; read after run_world joins
       out.pe = pe;
     }
   });
   return out;
+}
+
+EngineRun run_engine_checked(const GasSystem& sys,
+                             const simmpi::CartGrid& grid,
+                             const oracle::PairFactory& mk,
+                             comm::DomainConfig cfg, int steps, double tol) {
+  return run_engine_checked(
+      sys, grid, [&](int) { return mk(); }, mk, cfg, steps, tol);
 }
 
 void expect_runs_equal(const GasSystem& sys, const EngineRun& a,
@@ -328,7 +345,20 @@ void expect_runs_equal(const GasSystem& sys, const EngineRun& a,
   }
 }
 
-TEST(StagedDomainEngine, LjStagedAndOverlapMatchLegacy) {
+/// Overlap on and off each match the oracle every step and agree with
+/// each other at the end.
+void expect_overlap_on_off_match_oracle(const GasSystem& sys,
+                                        const simmpi::CartGrid& grid,
+                                        const oracle::PairFactory& mk,
+                                        double dt_fs, int steps, double tol) {
+  const EngineRun seq = run_engine_checked(
+      sys, grid, mk, {.dt_fs = dt_fs, .overlap = false}, steps, tol);
+  const EngineRun ovl = run_engine_checked(
+      sys, grid, mk, {.dt_fs = dt_fs, .overlap = true}, steps, tol);
+  expect_runs_equal(sys, ovl, seq, tol);
+}
+
+TEST(StagedDomainEngine, LjOverlapOnAndOffMatchOracle) {
   const GasSystem sys = make_gas(160, 24.0, 2.9, 1, 60.0, 37);
   const simmpi::CartGrid grid(2, 2, 2);
   auto mk = [] {
@@ -336,17 +366,10 @@ TEST(StagedDomainEngine, LjStagedAndOverlapMatchLegacy) {
     p->set_pair(0, 0, 0.0104, 3.4);
     return p;
   };
-  const EngineRun legacy =
-      run_engine(sys, grid, mk, {.dt_fs = 1.0, .staged = false}, 15);
-  const EngineRun seq = run_engine(
-      sys, grid, mk, {.dt_fs = 1.0, .staged = true, .overlap = false}, 15);
-  const EngineRun ovl = run_engine(
-      sys, grid, mk, {.dt_fs = 1.0, .staged = true, .overlap = true}, 15);
-  expect_runs_equal(sys, seq, legacy, 1e-9);
-  expect_runs_equal(sys, ovl, legacy, 1e-9);
+  expect_overlap_on_off_match_oracle(sys, grid, mk, 1.0, 15, 1e-9);
 }
 
-TEST(StagedDomainEngine, MorseOverlapMatchesLegacy) {
+TEST(StagedDomainEngine, MorseOverlapOnAndOffMatchOracle) {
   const GasSystem sys = make_gas(120, 22.0, 2.6, 1, 120.0, 41);
   const simmpi::CartGrid grid(2, 1, 1);
   auto mk = [] {
@@ -354,67 +377,41 @@ TEST(StagedDomainEngine, MorseOverlapMatchesLegacy) {
     p->set_pair(0, 0, 0.05, 1.5, 2.6);
     return p;
   };
-  const EngineRun legacy =
-      run_engine(sys, grid, mk, {.dt_fs = 1.0, .staged = false}, 20);
-  const EngineRun ovl = run_engine(
-      sys, grid, mk, {.dt_fs = 1.0, .staged = true, .overlap = true}, 20);
-  expect_runs_equal(sys, ovl, legacy, 1e-9);
+  expect_overlap_on_off_match_oracle(sys, grid, mk, 1.0, 20, 1e-9);
 }
 
-TEST(StagedDomainEngine, DpBatchedOverlapWithPoolMatchesLegacy) {
+TEST(StagedDomainEngine, DpBatchedOverlapWithPoolMatchesOracle) {
   // The real overlap configuration: batched Deep Potential blocks launched
   // async on pool workers while the driver thread runs the halo exchange.
   GasSystem sys = make_gas(96, 19.0, 1.8, 2, 60.0, 43);
   auto model = small_dp_model(47);  // rcut 4.5 fits a 2x1x1 split of 19 A
   const simmpi::CartGrid grid(2, 1, 1);
 
-  const auto mk_with = [&](int block_size, rt::ThreadPool* pool) {
-    return [&, block_size, pool]() -> std::shared_ptr<md::Pair> {
-      dp::EvalOptions opts;
-      opts.block_size = block_size;
-      return std::make_shared<dp::PairDeepMD>(model, opts, pool);
-    };
-  };
-
   // Per-rank pools so both ranks evaluate concurrently while exchanging.
   std::vector<std::unique_ptr<rt::ThreadPool>> pools;
   for (int r = 0; r < grid.size(); ++r) {
     pools.push_back(std::make_unique<rt::ThreadPool>(3));
   }
-
-  const GlobalArrays g = arrays_of(sys);
-  EngineRun legacy, ovl;
-  std::mutex mu;
-  simmpi::run_world(grid.size(), [&](simmpi::Rank& rank) {
-    rt::ThreadPool* pool = pools[static_cast<std::size_t>(rank.rank())].get();
-    // Legacy monolithic reference (serial pair, same math).
-    comm::DomainEngine ref(rank, grid, sys.box, sys.masses,
-                           mk_with(8, nullptr)(), {.dt_fs = 0.5,
-                                                   .staged = false});
-    ref.seed(g.x, g.v, g.type);
-    ref.run(4);
-    // Staged + overlap with async pool submission.
-    comm::DomainEngine eng(rank, grid, sys.box, sys.masses,
-                           mk_with(8, pool)(),
-                           {.dt_fs = 0.5, .staged = true, .overlap = true});
-    eng.seed(g.x, g.v, g.type);
-    eng.run(4);
-    const auto ref_all = ref.gather_all();
-    const double ref_pe = ref.total_pe();
-    const auto eng_all = eng.gather_all();
-    const double eng_pe = eng.total_pe();
-    if (rank.rank() == 0) {
-      std::lock_guard lock(mu);
-      legacy.atoms = ref_all;
-      legacy.pe = ref_pe;
-      ovl.atoms = eng_all;
-      ovl.pe = eng_pe;
-    }
-  });
-  expect_runs_equal(sys, ovl, legacy, 1e-7);
+  const auto mk_pooled = [&](int rank) -> std::shared_ptr<md::Pair> {
+    dp::EvalOptions opts;
+    opts.block_size = 8;
+    return std::make_shared<dp::PairDeepMD>(
+        model, opts, pools[static_cast<std::size_t>(rank)].get());
+  };
+  // Serial oracle pair, same math.
+  const auto mk_ref = [&]() -> std::shared_ptr<md::Pair> {
+    dp::EvalOptions opts;
+    opts.block_size = 8;
+    return std::make_shared<dp::PairDeepMD>(model, opts);
+  };
+  const EngineRun seq = run_engine_checked(
+      sys, grid, mk_pooled, mk_ref, {.dt_fs = 0.5, .overlap = false}, 4, 1e-7);
+  const EngineRun ovl = run_engine_checked(
+      sys, grid, mk_pooled, mk_ref, {.dt_fs = 0.5, .overlap = true}, 4, 1e-7);
+  expect_runs_equal(sys, ovl, seq, 1e-7);
 }
 
-TEST(StagedDomainEngine, DpPerAtomStagedMatchesLegacy) {
+TEST(StagedDomainEngine, DpPerAtomOverlapOnAndOffMatchOracle) {
   GasSystem sys = make_gas(72, 19.0, 1.8, 2, 60.0, 53);
   auto model = small_dp_model(59);
   const simmpi::CartGrid grid(2, 1, 1);
@@ -423,11 +420,7 @@ TEST(StagedDomainEngine, DpPerAtomStagedMatchesLegacy) {
     opts.block_size = 1;
     return std::make_shared<dp::PairDeepMD>(model, opts);
   };
-  const EngineRun legacy =
-      run_engine(sys, grid, mk, {.dt_fs = 0.5, .staged = false}, 4);
-  const EngineRun stg = run_engine(
-      sys, grid, mk, {.dt_fs = 0.5, .staged = true, .overlap = true}, 4);
-  expect_runs_equal(sys, stg, legacy, 1e-7);
+  expect_overlap_on_off_match_oracle(sys, grid, mk, 0.5, 4, 1e-7);
 }
 
 // ---------------------------------------------------------------------------
