@@ -4,18 +4,33 @@
 // the perf trajectory is tracked from PR to PR.  Driven by
 // bench/run_bench.sh or the CMake `bench` target.
 //
-//   usage: bench_compute_json [--smoke] [output.json]
+//   usage: bench_compute_json [--smoke] [--baseline=OLD.json] [output.json]
 //
 // --smoke shrinks every rung to a rep or two (and the distributed legs to
 // 2 steps) so the whole binary runs in seconds — registered as the
 // `bench_smoke` ctest so the bench pipeline cannot silently rot.  Smoke
 // numbers are build-health numbers, not measurements.
+//
+// The output opens with a `host` block (CPU model, cores, ISA flags,
+// compiler, the library's CXX flags, git sha) so numbers are only ever
+// compared within one host.  --baseline names the BENCH_compute.json an
+// earlier build wrote on the same host just before; its batched_b64 and
+// batched_b64_fit_fp32 rungs are copied into a `baseline` block next to
+// this build's, as the same-host before/after of a change.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "water256.hpp"
@@ -603,17 +618,151 @@ MempoolBench bench_mempool(int jobs) {
   return out;
 }
 
+/// First line of `cmd`'s stdout ("" when it fails or prints nothing).
+std::string command_line_output(const std::string& cmd) {
+  std::FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) return "";
+  char buf[512] = {};
+  const bool got = std::fgets(buf, sizeof buf, p) != nullptr;
+  const int status = pclose(p);
+  if (!got || status != 0) return "";
+  std::string line(buf);
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+/// JSON string literal (the host strings carry no control characters;
+/// quotes and backslashes are escaped).
+std::string json_str(const std::string& v) {
+  std::string out = "\"";
+  for (const char ch : v) {
+    if (ch == '"' || ch == '\\') out += '\\';
+    out += ch;
+  }
+  return out + "\"";
+}
+
+/// The host and build fingerprint: the same fields perfbench/run.py
+/// records.  The build directory is the executable's own (CMake puts the
+/// benches next to CMakeFiles/), which locates the library's flags.make
+/// and the checkout for git.
+std::string host_block() {
+  std::string cpu_model = "unknown";
+  std::set<std::string> flags;
+  {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      const auto colon = line.find(':');
+      if (colon == std::string::npos) continue;
+      const std::string val =
+          colon + 2 <= line.size() ? line.substr(colon + 2) : "";
+      const auto starts = [&](const char* key) {
+        return line.rfind(key, 0) == 0;
+      };
+      if (starts("model name") && cpu_model == "unknown") {
+        cpu_model = val;
+      } else if ((starts("flags") || starts("Features")) && flags.empty()) {
+        std::istringstream words(val);
+        flags.insert(std::istream_iterator<std::string>(words),
+                     std::istream_iterator<std::string>());
+      }
+    }
+  }
+  std::string isa;
+  for (const char* f : {"sse4_2", "avx", "avx2", "fma", "f16c", "avx512f",
+                        "avx512bw", "avx512vl", "avx512_vnni", "avx512_bf16",
+                        "amx_tile", "asimd", "sve", "sve2"}) {
+    if (flags.count(f) != 0) isa += (isa.empty() ? "" : ", ") + json_str(f);
+  }
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "GCC " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::string build_dir = ".";
+  {
+    char exe[4096] = {};
+    const ssize_t len = readlink("/proc/self/exe", exe, sizeof exe - 1);
+    if (len > 0) {
+      build_dir.assign(exe, static_cast<std::size_t>(len));
+      build_dir.erase(build_dir.rfind('/'));
+    }
+  }
+  std::string cxx_flags = "unknown";
+  {
+    std::ifstream in(build_dir + "/CMakeFiles/dpmd.dir/flags.make");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("CXX_FLAGS", 0) == 0) {
+        const auto eq = line.find('=');
+        cxx_flags = line.substr(line.find_first_not_of(' ', eq + 1));
+      }
+    }
+  }
+  const std::string git = "git -C '" + build_dir + "' ";
+  const std::string sha =
+      command_line_output(git + "rev-parse HEAD 2>/dev/null");
+  // Uncommitted changes to tracked files mean the numbers are not those of
+  // `sha` alone.
+  const bool dirty =
+      !sha.empty() &&
+      command_line_output(git + "diff --quiet HEAD 2>/dev/null || echo d") ==
+          "d";
+  std::ostringstream out;
+  out << "  \"host\": {\n"
+      << "    \"cpu_model\": " << json_str(cpu_model) << ",\n"
+      << "    \"cores\": " << std::thread::hardware_concurrency() << ",\n"
+      << "    \"isa\": [" << isa << "],\n"
+      << "    \"compiler\": " << json_str(compiler) << ",\n"
+      << "    \"cxx_flags\": " << json_str(cxx_flags) << ",\n"
+      << "    \"git_sha\": " << (sha.empty() ? "null" : json_str(sha))
+      << ",\n"
+      << "    \"git_dirty\": " << (dirty ? "true" : "false") << "\n"
+      << "  },\n";
+  return out.str();
+}
+
+/// us_per_step of variant `name` in a BENCH_compute.json text (its
+/// variants lines are written by this program; 0 when absent).
+double variant_us_per_step(const std::string& json, const std::string& name) {
+  const auto at = json.find("\"name\": \"" + name + "\",");
+  if (at == std::string::npos) return 0.0;
+  const std::string key = "\"us_per_step\": ";
+  const auto v = json.find(key, at);
+  return v == std::string::npos ? 0.0
+                                : std::strtod(json.c_str() + v + key.size(),
+                                              nullptr);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_compute.json";
+  std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
+      baseline_path = argv[i] + 11;
     } else {
       out_path = argv[i];
     }
+  }
+  std::string baseline;
+  if (!baseline_path.empty()) {
+    std::ifstream in(baseline_path);
+    if (!in) {
+      std::fprintf(stderr, "cannot read %s\n", baseline_path.c_str());
+      return 1;
+    }
+    baseline.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
   }
   const int reps = smoke ? 2 : 20;
   const int table_reps = smoke ? 2 : 40;
@@ -736,6 +885,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"dp_compute_water256\",\n");
+  std::fprintf(f, "%s", host_block().c_str());
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"natoms\": %d,\n", kNatoms);
   std::fprintf(f, "  \"block_size\": %d,\n", kBlock);
@@ -754,6 +904,25 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"batched_speedup\": %.3f,\n", speedup);
   std::fprintf(f, "  \"fullemb_batched_speedup\": %.3f,\n", fullemb_speedup);
+  if (!baseline.empty()) {
+    const std::string src = baseline_path.substr(baseline_path.rfind('/') + 1);
+    std::fprintf(f, "  \"baseline\": {\n");
+    std::fprintf(f, "    \"source\": %s,\n", json_str(src).c_str());
+    std::fprintf(f, "    \"rungs\": [\n");
+    const std::size_t rungs[] = {1, 3};  // batched_b64, batched_b64_fit_fp32
+    for (const std::size_t r : rungs) {
+      const auto& v = variants[r];
+      const double before = variant_us_per_step(baseline, v.name);
+      std::fprintf(f,
+                   "      {\"name\": \"%s\", \"us_per_step_before\": %.2f, "
+                   "\"us_per_step_after\": %.2f, \"speedup\": %.3f}%s\n",
+                   v.name.c_str(), before, v.us_per_step,
+                   before > 0.0 ? before / v.us_per_step : 0.0,
+                   r == rungs[1] ? "" : ",");
+    }
+    std::fprintf(f, "    ]\n");
+    std::fprintf(f, "  },\n");
+  }
   std::fprintf(f, "  \"overlap\": {\n");
   std::fprintf(f, "    \"system\": \"water-256 cell tiled 2x (512 atoms), "
                   "2 ranks, %u threads/rank, block %d\",\n",

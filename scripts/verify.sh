@@ -4,6 +4,7 @@
 #
 #   scripts/verify.sh            # tier-1: native Release build + ctest
 #   scripts/verify.sh --portable # add the -DDPMD_NATIVE=OFF leg
+#   scripts/verify.sh --avx2     # add the -march=x86-64-v3 (AVX2) leg
 #   scripts/verify.sh --asan     # add the ASan+UBSan leg (threaded suites)
 #   scripts/verify.sh --tsan     # add the TSan leg (threaded suites)
 #   scripts/verify.sh --perfbench # add the repo-benchmark smoke leg
@@ -23,16 +24,19 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="${JOBS:-4}"
 run_portable=0
+run_avx2=0
 run_asan=0
 run_tsan=0
 run_perfbench=0
 for arg in "$@"; do
   case "$arg" in
     --portable) run_portable=1 ;;
+    --avx2) run_avx2=1 ;;
     --asan) run_asan=1 ;;
     --tsan) run_tsan=1 ;;
     --perfbench) run_perfbench=1 ;;
-    --all) run_portable=1; run_asan=1; run_tsan=1; run_perfbench=1 ;;
+    --all) run_portable=1; run_avx2=1; run_asan=1; run_tsan=1
+           run_perfbench=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -92,6 +96,20 @@ if [[ "$run_portable" == 1 ]]; then
         -DDPMD_NATIVE=OFF >/dev/null
   cmake --build "$repo_root/build-portable" -j"$jobs"
   (cd "$repo_root/build-portable" && ctest --output-on-failure -j2)
+fi
+
+# The AVX2 leg compiles the 32-byte branch of the GEMM register tile
+# (TileShape in src/gemm/gemm.cpp): the native build on an AVX-512 host
+# takes the 64-byte branch and the portable one the 16-byte branch, so
+# without it the ymm tile (4 x 3 accumulators + 3 B vectors + 1 broadcast,
+# all 16 ymm registers) would never be built or tested.  It runs on any
+# x86-64 host with AVX2 and FMA.
+if [[ "$run_avx2" == 1 ]]; then
+  echo "== AVX2: -march=x86-64-v3 build + ctest =="
+  cmake -B "$repo_root/build-avx2" -S "$repo_root" -DDPMD_NATIVE=OFF \
+        -DCMAKE_CXX_FLAGS=-march=x86-64-v3 >/dev/null
+  cmake --build "$repo_root/build-avx2" -j"$jobs"
+  (cd "$repo_root/build-avx2" && ctest --output-on-failure -j2)
 fi
 
 if [[ "$run_asan" == 1 ]]; then

@@ -54,85 +54,118 @@ inline void scale_c(T* c, std::size_t len, T beta) {
 // only the "generic blocked kernel" behaviour is.
 constexpr int kKc = 256;
 
-/// Register-tile geometry: NR spans 3 SIMD registers of the target ISA and
-/// MR rows share each B load, so the accumulator tile (MR x 3 registers)
-/// plus the B panel and the broadcast stay within the register file
-/// (measured on AVX-512: the 8x24 tile runs ~1.1-1.2x the previous 6x24
-/// tile at fitting-net shapes -- more FMAs amortize each B row load -- and
-/// the 3-register width is what lets GCC keep the tile resident).
+/// Register-tile geometry: NR spans 3 SIMD vectors of the target ISA and MR
+/// rows share each B row, so the accumulator tile (MR x 3 vectors), the 3
+/// B vectors and the broadcast A value fit the register file: 24 + 3 + 1 of
+/// 32 zmm on AVX-512, 12 + 3 + 1 of 16 ymm on AVX/AVX2 and of 16 xmm
+/// otherwise.  `vec` is the explicit vector type the tiles compute in, so
+/// the width is fixed in the code rather than left to the auto-vectorizer
+/// (GCC 12 at -O3 -march=native vectorized a scalar 8 x 24 fp64 tile with
+/// ymm: 48 accumulators for 32 registers, the rest spilled to the stack
+/// inside the K loop).
 template <class T>
 struct TileShape {
-#if defined(__AVX512F__)
-  static constexpr int vec_bytes = 64;
-  static constexpr int mr = 8;  // 24 of 32 zmm accumulators
-#elif defined(__AVX__)
-  static constexpr int vec_bytes = 32;
-  static constexpr int mr = 4;  // 12 of 16 ymm accumulators
-#else
-  static constexpr int vec_bytes = 16;
-  static constexpr int mr = 4;
-#endif
-  static constexpr int nr = 3 * vec_bytes / static_cast<int>(sizeof(T));
+  static constexpr int mr = kVecBytes == 64 ? 8 : 4;
+  typedef T vec __attribute__((vector_size(kVecBytes)));
+  static constexpr int lanes = kVecBytes / static_cast<int>(sizeof(T));
+  static constexpr int nr = 3 * lanes;
 };
+
+/// Unaligned vector load/store (memcpy compiles to one vmovu).
+template <class T>
+inline typename TileShape<T>::vec load_vec(const T* p) {
+  typename TileShape<T>::vec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <class T>
+inline void store_vec(T* p, typename TileShape<T>::vec v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// C tile += alpha * acc, one vector at a time: the same per-element
+/// `c += alpha * acc` the scalar writeback computed.
+template <class T, int MR, int NV>
+inline void store_tile(const typename TileShape<T>::vec (&acc)[MR][NV],
+                       T* __restrict c, int ldc, T alpha) {
+  constexpr int W = TileShape<T>::lanes;
+  for (int i = 0; i < MR; ++i) {
+    T* crow = c + static_cast<std::size_t>(i) * ldc;
+    for (int v = 0; v < NV; ++v) {
+      store_vec(crow + v * W, load_vec(crow + v * W) + alpha * acc[i][v]);
+    }
+  }
+}
 
 /// Register-tiled MR x NR micro-kernel: the accumulator tile lives in
 /// registers for the whole K sweep, so each B row load feeds MR FMAs and C
 /// traffic drops from one store per k-step to one per tile.  This is what
 /// makes the M >= MR regime (the batched evaluation pipeline's fitting
 /// GEMMs, §III-B) run at high arithmetic intensity; M < MR callers are
-/// served by sve_gemm instead.
-///
-/// A is accessed as a[i * ra + p * ca] with ra = lda, ca = 1 (row-major A;
-/// gemm_blocked, gemm_packed, gemm_batched).  The K x M stored operand of
-/// gemm_tn has its own tile, tn_tile below.
+/// served by sve_gemm instead.  A is row-major with leading dimension lda
+/// (gemm_blocked, gemm_packed, gemm_batched); the K x M stored operand of
+/// gemm_tn has its own tile, tn_tile below.  Every element accumulates
+/// acc += a[i][p] * b[p][j] in ascending p, one lane of one vector FMA.
 template <class T, int MR, int NR>
 inline void micro_tile(const T* __restrict a, const T* __restrict b,
-                       T* __restrict c, int k, int ra, int ca, int ldb,
-                       int ldc, T alpha) {
-  T acc[MR * NR] = {};
+                       T* __restrict c, int k, int lda, int ldb, int ldc,
+                       T alpha) {
+  using V = typename TileShape<T>::vec;
+  constexpr int W = TileShape<T>::lanes;
+  constexpr int NV = NR / W;
+  static_assert(NR % W == 0, "tile width must be whole vectors");
+  V acc[MR][NV] = {};
   for (int p = 0; p < k; ++p) {
     const T* __restrict brow = b + static_cast<std::size_t>(p) * ldb;
+    V bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = load_vec(brow + v * W);
 #if defined(__GNUC__)
 #pragma GCC unroll 8
 #endif
     for (int i = 0; i < MR; ++i) {
-      const T av = a[static_cast<std::size_t>(i) * ra +
-                     static_cast<std::size_t>(p) * ca];
-      for (int j = 0; j < NR; ++j) acc[i * NR + j] += av * brow[j];
+      const T av = a[static_cast<std::size_t>(i) * lda + p];
+      for (int v = 0; v < NV; ++v) acc[i][v] += av * bv[v];
     }
   }
-  for (int i = 0; i < MR; ++i) {
-    T* crow = c + static_cast<std::size_t>(i) * ldc;
-    for (int j = 0; j < NR; ++j) crow[j] += alpha * acc[i * NR + j];
-  }
+  store_tile<T, MR, NV>(acc, c, ldc, alpha);
 }
 
 /// gemm_tn's MR x NR register tile over the K x M stored operand: the MR
 /// A values of step p are contiguous in row p (stride lda = M between
 /// rows), so each step copies them as one MR-element block and broadcasts
-/// from that copy.  Reading them element-wise (micro_tile's strided
-/// a[i + p * lda] walk, or a plain av[i] = arow[i] loop) let GCC 12's
-/// -O3 -march=native SLP vectorizer widen the load with row p + 1, which
-/// reads one K row past the operand on the last step: a fault at
-/// (m, n, k) = (4, 8, 1) in the guard-page tests.  The block copy compiles
-/// to embedded broadcasts of exactly the MR values.
+/// from that copy.  Reading them element-wise (a strided a[i + p * lda]
+/// walk, or a plain av[i] = arow[i] loop) let GCC 12's -O3 -march=native
+/// SLP vectorizer widen the load with row p + 1, which reads one K row
+/// past the operand on the last step: a fault at (m, n, k) = (4, 8, 1) in
+/// the guard-page tests.  The block copy compiles to embedded broadcasts
+/// of exactly the MR values.  Inlined into gemm_tn's column loops: as an
+/// out-of-line call (k unknown, possibly 0) GCC kept the accumulator array
+/// in a stack slot it zeroed, reloaded and stored around every K sweep.
 template <class T, int MR, int NR>
-inline void tn_tile(const T* __restrict at, const T* __restrict b,
-                    T* __restrict c, int k, int lda, int ldb, int ldc,
-                    T alpha) {
-  T acc[MR * NR] = {};
+[[gnu::always_inline]] inline void tn_tile(const T* __restrict at,
+                                           const T* __restrict b,
+                                           T* __restrict c, int k, int lda,
+                                           int ldb, int ldc, T alpha) {
+  using V = typename TileShape<T>::vec;
+  constexpr int W = TileShape<T>::lanes;
+  constexpr int NV = NR / W;
+  static_assert(NR % W == 0, "tile width must be whole vectors");
+  V acc[MR][NV] = {};
   for (int p = 0; p < k; ++p) {
     const T* __restrict brow = b + static_cast<std::size_t>(p) * ldb;
+    V bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = load_vec(brow + v * W);
     T av[MR];
     std::memcpy(av, at + static_cast<std::size_t>(p) * lda, sizeof av);
+#if defined(__GNUC__)
+#pragma GCC unroll 8
+#endif
     for (int i = 0; i < MR; ++i) {
-      for (int j = 0; j < NR; ++j) acc[i * NR + j] += av[i] * brow[j];
+      for (int v = 0; v < NV; ++v) acc[i][v] += av[i] * bv[v];
     }
   }
-  for (int i = 0; i < MR; ++i) {
-    T* crow = c + static_cast<std::size_t>(i) * ldc;
-    for (int j = 0; j < NR; ++j) crow[j] += alpha * acc[i * NR + j];
-  }
+  store_tile<T, MR, NV>(acc, c, ldc, alpha);
 }
 
 /// Row-remainder dispatch: the m % MR edge rows still run register-tiled
@@ -140,19 +173,19 @@ inline void tn_tile(const T* __restrict at, const T* __restrict b,
 /// sweep — at fitting-block sizes like M = 21 the edge rows are a seventh
 /// of the work.
 template <class T, int NR>
-inline void micro_rows(const T* a, const T* b, T* c, int mr, int k, int ra,
-                       int ca, int ldb, int ldc, T alpha) {
+inline void micro_rows(const T* a, const T* b, T* c, int mr, int k, int lda,
+                       int ldb, int ldc, T alpha) {
   static_assert(TileShape<T>::mr <= 8,
                 "micro_rows dispatch covers residues up to 7; extend the "
                 "switch before widening the register tile");
   switch (mr) {
-    case 1: micro_tile<T, 1, NR>(a, b, c, k, ra, ca, ldb, ldc, alpha); break;
-    case 2: micro_tile<T, 2, NR>(a, b, c, k, ra, ca, ldb, ldc, alpha); break;
-    case 3: micro_tile<T, 3, NR>(a, b, c, k, ra, ca, ldb, ldc, alpha); break;
-    case 4: micro_tile<T, 4, NR>(a, b, c, k, ra, ca, ldb, ldc, alpha); break;
-    case 5: micro_tile<T, 5, NR>(a, b, c, k, ra, ca, ldb, ldc, alpha); break;
-    case 6: micro_tile<T, 6, NR>(a, b, c, k, ra, ca, ldb, ldc, alpha); break;
-    case 7: micro_tile<T, 7, NR>(a, b, c, k, ra, ca, ldb, ldc, alpha); break;
+    case 1: micro_tile<T, 1, NR>(a, b, c, k, lda, ldb, ldc, alpha); break;
+    case 2: micro_tile<T, 2, NR>(a, b, c, k, lda, ldb, ldc, alpha); break;
+    case 3: micro_tile<T, 3, NR>(a, b, c, k, lda, ldb, ldc, alpha); break;
+    case 4: micro_tile<T, 4, NR>(a, b, c, k, lda, ldb, ldc, alpha); break;
+    case 5: micro_tile<T, 5, NR>(a, b, c, k, lda, ldb, ldc, alpha); break;
+    case 6: micro_tile<T, 6, NR>(a, b, c, k, lda, ldb, ldc, alpha); break;
+    case 7: micro_tile<T, 7, NR>(a, b, c, k, lda, ldb, ldc, alpha); break;
     default: break;
   }
 }
@@ -238,12 +271,12 @@ void gemm_blocked(const T* a, const T* b, T* c, int m, int n, int k, T alpha,
       for (int ic = 0; ic < m_main; ic += MR) {
         micro_tile<T, MR, NR>(ap + static_cast<std::size_t>(ic) * k, bp + jc,
                               c + static_cast<std::size_t>(ic) * n + jc, kc,
-                              k, 1, n, n, alpha);
+                              k, n, n, alpha);
       }
       if (m_main < m) {
         micro_rows<T, NR>(ap + static_cast<std::size_t>(m_main) * k, bp + jc,
                           c + static_cast<std::size_t>(m_main) * n + jc,
-                          m - m_main, kc, k, 1, n, n, alpha);
+                          m - m_main, kc, k, n, n, alpha);
       }
     }
   }
@@ -268,7 +301,7 @@ void gemm_tn(const T* at, const T* b, T* c, int m, int n, int k, T alpha,
   constexpr int NR = TileShape<T>::nr;
   // One vector of columns; narrow-N shapes (D = A^T A at N = m2 = 16) stay
   // register-tiled instead of dropping to the scalar edge sweep.
-  constexpr int NV = TileShape<T>::vec_bytes / static_cast<int>(sizeof(T));
+  constexpr int NV = TileShape<T>::lanes;
   const int n_main = n - n % NR;
   const int n_vec = n - n % NV;
   const int m_main = m - m % MR;
@@ -394,12 +427,12 @@ void gemm_packed(const T* a, const T* bp, T* c, int m, int n, int k, T alpha,
       for (int ic = 0; ic < m_main; ic += MR) {
         micro_tile<T, MR, NR>(ap + static_cast<std::size_t>(ic) * k, panel,
                               c + static_cast<std::size_t>(ic) * n + jc, kc,
-                              k, 1, NR, n, alpha);
+                              k, NR, n, alpha);
       }
       if (m_main < m) {
         micro_rows<T, NR>(ap + static_cast<std::size_t>(m_main) * k, panel,
                           c + static_cast<std::size_t>(m_main) * n + jc,
-                          m - m_main, kc, k, 1, NR, n, alpha);
+                          m - m_main, kc, k, NR, n, alpha);
       }
     }
   }
@@ -452,8 +485,11 @@ void gemm_halfw(const float* a, const Half* b_half, float* c, int m, int n,
                 int k, float alpha, float beta) {
   // fp16-stored B, fp32 accumulation.  B rows are expanded to fp32 once per
   // row (the conversion cost is amortized over all M rows via the row-major
-  // loop order below, matching the fp16-sve-gemm's widening loads).
-  std::vector<float> brow_f(static_cast<std::size_t>(n));
+  // loop order below, matching the fp16-sve-gemm's widening loads).  The
+  // row buffer is per-thread scratch (as in skinny_panel): DenseLayer runs
+  // this every reduced-precision step, which must not allocate.
+  thread_local std::vector<float> brow_f;
+  brow_f.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < m; ++i) {
     float* __restrict crow = c + static_cast<std::size_t>(i) * n;
     if (beta == 0.0f) {
@@ -478,8 +514,10 @@ void gemm_halfw(const float* a, const Half* b_half, float* c, int m, int n,
 void gemm_bf16w(const float* a, const Bf16* b_bf16, float* c, int m, int n,
                 int k, float alpha, float beta) {
   // bf16-stored B, fp32 accumulation: same row-expansion scheme as
-  // gemm_halfw (one widening pass per B row, amortized over all M rows).
-  std::vector<float> brow_f(static_cast<std::size_t>(n));
+  // gemm_halfw (one widening pass per B row, amortized over all M rows),
+  // same per-thread row scratch.
+  thread_local std::vector<float> brow_f;
+  brow_f.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < m; ++i) {
     float* __restrict crow = c + static_cast<std::size_t>(i) * n;
     if (beta == 0.0f) {
@@ -623,13 +661,13 @@ void batched_one(const GemmBatchItem<T>& it, const T* b, const T* bp,
       for (int ic = 0; ic < m_main; ic += MR) {
         micro_tile<T, MR, NR>(ap + static_cast<std::size_t>(ic) * k, panel,
                               c + static_cast<std::size_t>(ic) * n + jc, kc,
-                              k, 1, ldb, n, T(1));
+                              k, ldb, n, T(1));
         if (last) apply_epilogue(ep, it, bias, n, ic, ic + MR, jc, jc + NR);
       }
       if (m_main < m) {
         micro_rows<T, NR>(ap + static_cast<std::size_t>(m_main) * k, panel,
                           c + static_cast<std::size_t>(m_main) * n + jc,
-                          m - m_main, kc, k, 1, ldb, n, T(1));
+                          m - m_main, kc, k, ldb, n, T(1));
         if (last) apply_epilogue(ep, it, bias, n, m_main, m, jc, jc + NR);
       }
     }
@@ -724,7 +762,7 @@ void gemm_batched(const GemmBatchItem<T>* items, int nitems, const T* b,
         for (int ic = 0; ic < m_main; ic += MR) {
           micro_tile<T, MR, NR>(ap + static_cast<std::size_t>(ic) * k, panel,
                                 c + static_cast<std::size_t>(ic) * n + jc, kc,
-                                k, 1, ldb, n, T(1));
+                                k, ldb, n, T(1));
           if (last) {
             apply_epilogue(ep, it, bias, n, ic, ic + MR, jc, jc + NR);
           }
@@ -732,7 +770,7 @@ void gemm_batched(const GemmBatchItem<T>* items, int nitems, const T* b,
         if (m_main < m) {
           micro_rows<T, NR>(ap + static_cast<std::size_t>(m_main) * k, panel,
                             c + static_cast<std::size_t>(m_main) * n + jc,
-                            m - m_main, kc, k, 1, ldb, n, T(1));
+                            m - m_main, kc, k, ldb, n, T(1));
           if (last) apply_epilogue(ep, it, bias, n, m_main, m, jc, jc + NR);
         }
       }

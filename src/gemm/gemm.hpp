@@ -57,6 +57,17 @@ template <class T>
 void gemm_nt(const T* a, const T* bt, T* c, int m, int n, int k,
              T alpha = T(1), T beta = T(0));
 
+/// Width in bytes of the SIMD vectors the register tiles compute in: the
+/// widest the build's target ISA offers (zmm on AVX-512, ymm on AVX/AVX2,
+/// xmm otherwise).
+#if defined(__AVX512F__)
+inline constexpr int kVecBytes = 64;
+#elif defined(__AVX__)
+inline constexpr int kVecBytes = 32;
+#else
+inline constexpr int kVecBytes = 16;
+#endif
+
 /// Number of B columns one register tile spans (3 SIMD vectors of T); the
 /// panel width of the packed-B layout below.
 template <class T>

@@ -283,13 +283,21 @@ TEST(Gemm, HalfWeightsExactForHalfRepresentable) {
 
 // ------------------------------------------------------- gemm_batched ----
 
+/// random_matrix rounded to T (the float instances of the batched tests).
+template <class T>
+std::vector<T> random_matrix_as(int rows, int cols, Rng& rng,
+                                double scale = 1.0) {
+  const auto d = random_matrix(rows, cols, rng, scale);
+  return std::vector<T>(d.begin(), d.end());
+}
+
 /// Unfused reference for one batched item: gemm_auto into c, then the
 /// Epilogue table of gemm.hpp applied as separate whole-slab passes (the
 /// row passes DenseLayer runs when fusion is off).  gemm_batched promises
 /// bitwise identity against exactly this.
-void batched_item_ref(const GemmBatchItem<double>& it, const double* b,
-                      const double* bp, const double* bias, int n, int k,
-                      Epilogue ep) {
+template <class T>
+void batched_item_ref(const GemmBatchItem<T>& it, const T* b, const T* bp,
+                      const T* bias, int n, int k, Epilogue ep) {
   gemm_auto(it.a, b, bp, it.c, it.m, n, k);
   const std::size_t mn = static_cast<std::size_t>(it.m) * n;
   switch (ep) {
@@ -299,7 +307,7 @@ void batched_item_ref(const GemmBatchItem<double>& it, const double* b,
     case Epilogue::BiasTanh:
     case Epilogue::BiasTanhSkip:
       for (int i = 0; i < it.m; ++i) {
-        double* cr = it.c + static_cast<std::size_t>(i) * n;
+        T* cr = it.c + static_cast<std::size_t>(i) * n;
         for (int j = 0; j < n; ++j) cr[j] += bias[j];
         if (ep != Epilogue::Bias) vtanh(cr, static_cast<std::size_t>(n));
       }
@@ -315,7 +323,7 @@ void batched_item_ref(const GemmBatchItem<double>& it, const double* b,
     case Epilogue::Grad:
       if (it.c2 != nullptr) {
         for (std::size_t i = 0; i < mn; ++i) {
-          it.c2[i] = it.c[i] * (1.0 - it.c2[i] * it.c2[i]);
+          it.c2[i] = it.c[i] * (T(1) - it.c2[i] * it.c2[i]);
         }
       }
       break;
@@ -323,38 +331,38 @@ void batched_item_ref(const GemmBatchItem<double>& it, const double* b,
 }
 
 /// Per-item operand storage for a batched sweep test.
+template <class T>
 struct BatchedFixture {
   std::vector<int> ms;
   int n = 0, k = 0;
-  std::vector<std::vector<double>> a, c, c2, skip;
-  std::vector<double> b, bp, bias;
-  std::vector<GemmBatchItem<double>> items;
+  std::vector<std::vector<T>> a, c, c2, skip;
+  std::vector<T> b, bp, bias;
 
   BatchedFixture(std::vector<int> ms_in, int n_in, int k_in, Rng& rng)
       : ms(std::move(ms_in)), n(n_in), k(k_in) {
-    b = random_matrix(k, n, rng);
+    b = random_matrix_as<T>(k, n, rng);
     bp.resize(b.size());
     pack_b(b.data(), bp.data(), k, n);
-    bias = random_matrix(1, n, rng);
+    bias = random_matrix_as<T>(1, n, rng);
     for (const int m : ms) {
-      a.push_back(random_matrix(m, k, rng));
+      a.push_back(random_matrix_as<T>(m, k, rng));
       // tanh-range c2/skip seeds so Grad's (1 - h^2) stays well-scaled
-      c.push_back(random_matrix(m, n, rng, 0.9));
-      c2.push_back(random_matrix(m, n, rng, 0.9));
-      skip.push_back(random_matrix(m, n, rng, 0.9));
+      c.push_back(random_matrix_as<T>(m, n, rng, 0.9));
+      c2.push_back(random_matrix_as<T>(m, n, rng, 0.9));
+      skip.push_back(random_matrix_as<T>(m, n, rng, 0.9));
     }
   }
 
   /// Builds the item list over fresh copies of the c/c2 seeds (both the
   /// fused run and the reference mutate them in place).
-  std::vector<GemmBatchItem<double>> make_items(
-      std::vector<std::vector<double>>& cw,
-      std::vector<std::vector<double>>& c2w, bool with_c2) {
+  std::vector<GemmBatchItem<T>> make_items(std::vector<std::vector<T>>& cw,
+                                           std::vector<std::vector<T>>& c2w,
+                                           bool with_c2) {
     cw = c;
     c2w = c2;
-    std::vector<GemmBatchItem<double>> out;
+    std::vector<GemmBatchItem<T>> out;
     for (std::size_t i = 0; i < ms.size(); ++i) {
-      GemmBatchItem<double> it;
+      GemmBatchItem<T> it;
       it.a = a[i].data();
       it.c = cw[i].data();
       it.c2 = with_c2 ? c2w[i].data() : nullptr;
@@ -363,6 +371,25 @@ struct BatchedFixture {
       out.push_back(it);
     }
     return out;
+  }
+
+  /// One packed-B gemm_batched sweep against the looped reference; every
+  /// item's c and c2 must match bitwise.
+  void expect_sweep_bitwise(Epilogue ep) {
+    std::vector<std::vector<T>> c_f, c2_f, c_r, c2_r;
+    auto fused = make_items(c_f, c2_f, true);
+    auto ref = make_items(c_r, c2_r, true);
+    gemm_batched(fused.data(), static_cast<int>(fused.size()), b.data(),
+                 bp.data(), bias.data(), n, k, ep);
+    for (auto& it : ref) {
+      batched_item_ref(it, b.data(), bp.data(), bias.data(), n, k, ep);
+    }
+    for (std::size_t i = 0; i < fused.size(); ++i) {
+      EXPECT_EQ(c_f[i], c_r[i]) << "item " << i << " (" << n << " x " << k
+                                << ")";
+      EXPECT_EQ(c2_f[i], c2_r[i]) << "item " << i << " (" << n << " x " << k
+                                  << ")";
+    }
   }
 };
 
@@ -375,7 +402,7 @@ TEST_P(GemmBatchedEpilogues, BitwiseMatchesLoopedAutoPlusUnfused) {
   // crosses the kKc K-chunk boundary, n = 52 leaves remainder columns
   // beyond the packed panels.
   Rng rng(900 + static_cast<int>(ep));
-  BatchedFixture fx({1, 3, 5, 8, 21, 43, 7}, 52, 300, rng);
+  BatchedFixture<double> fx({1, 3, 5, 8, 21, 43, 7}, 52, 300, rng);
   for (const bool packed : {false, true}) {
     for (const bool with_c2 : {true, false}) {
       // c2 is mandatory only for BiasTanhSkip; every other epilogue must
@@ -408,25 +435,31 @@ INSTANTIATE_TEST_SUITE_P(AllEpilogues, GemmBatchedEpilogues,
                                            Epilogue::Grad,
                                            Epilogue::GradSkip));
 
-TEST(GemmBatched, FittingLayerShapesBitwise) {
-  // The production first-layer shape: per-type row counts of water-256
-  // sweeps against the 1600 x 240 weight, bias + tanh + identity resnet.
+/// The production fitting-net GEMMs of a water-256 step (240^3 net over
+/// the 1600-wide descriptor), forward and backward.
+template <class T>
+void fitting_layer_shapes_bitwise() {
   Rng rng(77);
-  BatchedFixture fx({21, 43, 22, 42}, 240, 1600, rng);
-  std::vector<std::vector<double>> c_f, c2_f, c_r, c2_r;
-  auto fused = fx.make_items(c_f, c2_f, true);
-  auto ref = fx.make_items(c_r, c2_r, true);
-  gemm_batched(fused.data(), static_cast<int>(fused.size()), fx.b.data(),
-               fx.bp.data(), fx.bias.data(), fx.n, fx.k,
-               Epilogue::BiasTanhSkip);
-  for (auto& it : ref) {
-    batched_item_ref(it, fx.b.data(), fx.bp.data(), fx.bias.data(), fx.n,
-                     fx.k, Epilogue::BiasTanhSkip);
-  }
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(c_f[i], c_r[i]) << "item " << i;
-    EXPECT_EQ(c2_f[i], c2_r[i]) << "item " << i;
-  }
+  // Forward first layer: per-type row counts of water-256 sweeps against
+  // the 1600 x 240 weight, bias + tanh + identity resnet.
+  BatchedFixture<T>({21, 43, 22, 42}, 240, 1600, rng)
+      .expect_sweep_bitwise(Epilogue::BiasTanhSkip);
+  // Backward, at the production per-type row counts 86 and 170 (m % 8 = 6
+  // and 2, so every sweep also runs the residue-height tiles): the first
+  // layer's dx = dy W^T (N = 1600, K = 240) with the act-grad of the layer
+  // below, and a hidden layer's 240 x 240 with the identity-resnet skip.
+  BatchedFixture<T>({86, 170}, 1600, 240, rng)
+      .expect_sweep_bitwise(Epilogue::Grad);
+  BatchedFixture<T>({86, 170}, 240, 240, rng)
+      .expect_sweep_bitwise(Epilogue::GradSkip);
+}
+
+TEST(GemmBatched, FittingLayerShapesBitwise) {
+  fitting_layer_shapes_bitwise<double>();
+}
+
+TEST(GemmBatched, FittingLayerShapesBitwiseFloat) {
+  fitting_layer_shapes_bitwise<float>();
 }
 
 TEST(GemmBatched, HeadShapesAndEmptyItems) {
@@ -435,7 +468,7 @@ TEST(GemmBatched, HeadShapesAndEmptyItems) {
   // m = 0 items must be skipped without touching their outputs.
   Rng rng(78);
   {
-    BatchedFixture fx({4, 0, 9, 1}, 1, 240, rng);
+    BatchedFixture<double> fx({4, 0, 9, 1}, 1, 240, rng);
     std::vector<std::vector<double>> c_f, c2_f, c_r, c2_r;
     auto fused = fx.make_items(c_f, c2_f, true);
     auto ref = fx.make_items(c_r, c2_r, true);
@@ -444,7 +477,7 @@ TEST(GemmBatched, HeadShapesAndEmptyItems) {
                  fx.k, Epilogue::Bias);
     for (auto& it : ref) {
       if (it.m > 0) {
-        batched_item_ref(it, fx.b.data(), nullptr, fx.bias.data(), fx.n,
+        batched_item_ref<double>(it, fx.b.data(), nullptr, fx.bias.data(), fx.n,
                          fx.k, Epilogue::Bias);
       }
     }
@@ -453,7 +486,7 @@ TEST(GemmBatched, HeadShapesAndEmptyItems) {
     }
   }
   {
-    BatchedFixture fx({6, 0, 3}, 240, 1, rng);
+    BatchedFixture<double> fx({6, 0, 3}, 240, 1, rng);
     std::vector<std::vector<double>> c_f, c2_f, c_r, c2_r;
     auto fused = fx.make_items(c_f, c2_f, true);
     auto ref = fx.make_items(c_r, c2_r, true);
@@ -463,7 +496,7 @@ TEST(GemmBatched, HeadShapesAndEmptyItems) {
                  Epilogue::GradSkip);
     for (auto& it : ref) {
       if (it.m > 0) {
-        batched_item_ref(it, fx.b.data(), nullptr, nullptr, fx.n, fx.k,
+        batched_item_ref<double>(it, fx.b.data(), nullptr, nullptr, fx.n, fx.k,
                          Epilogue::GradSkip);
       }
     }
@@ -472,6 +505,112 @@ TEST(GemmBatched, HeadShapesAndEmptyItems) {
       EXPECT_EQ(c2_f[i], c2_r[i]) << "head bwd item " << i;
     }
   }
+}
+
+// ------------------------------------------------ accumulation order ----
+// The register tiles' arithmetic, element by element: per K chunk in
+// ascending order, acc = the sum of a[i][p] * b[p][j] over the chunk in
+// ascending p, then c += alpha * acc.  A scalar loop written in that order
+// and compiled under the same flags (FMA contraction included) must match
+// the tiled kernels bit for bit on every element a full-width register tile
+// covers, so a rewrite of the tiles cannot silently change a trajectory.
+// Where the target has FMA the compiler contracts each of the kernels'
+// multiply-adds into one, so the reference spells that out with std::fma.
+
+template <class T>
+T mul_add(T x, T y, T acc) {
+#if defined(__FMA__)
+  return std::fma(x, y, acc);
+#else
+  return acc + x * y;
+#endif
+}
+
+/// c = the chunked-order product over rows [0, m) x columns [0, n), with
+/// a(i, p) = a[i * ars + p * aps] (row-major A or K x M stored A).
+template <class T>
+void chunked_order_ref(const T* a, int ars, int aps, const T* b, T* c,
+                       int ldc, int m, int n, int k, int kc, T alpha) {
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      T cij = 0;
+      for (int pc = 0; pc < k; pc += kc) {
+        T acc = 0;
+        for (int p = pc; p < std::min(k, pc + kc); ++p) {
+          acc = mul_add(a[static_cast<std::size_t>(i) * ars +
+                          static_cast<std::size_t>(p) * aps],
+                        b[static_cast<std::size_t>(p) * n + j], acc);
+        }
+        cij = mul_add(alpha, acc, cij);
+      }
+      c[static_cast<std::size_t>(i) * ldc + j] = cij;
+    }
+  }
+}
+
+template <class T>
+void tiles_match_chunked_order() {
+  constexpr int kKc = 256;  // the blocked kernels' K-chunk depth
+  const int nr = gemm_panel_width<T>();
+  const T alpha = T(0.75);
+  Rng rng(91);
+  // Fitting shapes (m % 8 residues 6 and 2), an odd-height block, K across
+  // one and two chunk boundaries, N with remainder columns.
+  const std::tuple<int, int, int> shapes[] = {
+      {86, 240, 1600}, {170, 240, 240}, {13, 2 * nr + 5, 300},
+      {7, nr, 513}, {4, nr, 5}};
+  for (const auto& [m, n, k] : shapes) {
+    SCOPED_TRACE(::testing::Message() << m << " x " << n << " x " << k);
+    const auto a = random_matrix_as<T>(m, k, rng);
+    const auto at = random_matrix_as<T>(k, m, rng);
+    const auto b = random_matrix_as<T>(k, n, rng);
+    std::vector<T> bp(b.size());
+    pack_b(b.data(), bp.data(), k, n);
+    const std::size_t mn = static_cast<std::size_t>(m) * n;
+    std::vector<T> ref(mn), blocked(mn), packed(mn), batched(mn), tn(mn),
+        tn_ref(mn);
+    chunked_order_ref(a.data(), k, 1, b.data(), ref.data(), n, m, n, k, kKc,
+                      alpha);
+    gemm_blocked(a.data(), b.data(), blocked.data(), m, n, k, alpha);
+    gemm_packed(a.data(), bp.data(), packed.data(), m, n, k, alpha);
+    GemmBatchItem<T> it;
+    it.a = a.data();
+    it.c = batched.data();
+    it.m = m;
+    gemm_batched(&it, 1, b.data(), bp.data(), static_cast<const T*>(nullptr),
+                 n, k, Epilogue::None);
+    std::vector<T> ref1(mn);  // gemm_batched runs at alpha = 1
+    chunked_order_ref(a.data(), k, 1, b.data(), ref1.data(), n, m, n, k, kKc,
+                      T(1));
+    // gemm_tn: 4-row tiles over the K x M operand, one chunk of all of K.
+    chunked_order_ref(at.data(), 1, m, b.data(), tn_ref.data(), n, m, n, k, k,
+                      alpha);
+    gemm_tn(at.data(), b.data(), tn.data(), m, n, k, alpha);
+    const int n_tile = n - n % nr;
+    const int n_vec = n - n % (nr / 3);
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n_tile; ++j) {
+        const std::size_t e = static_cast<std::size_t>(i) * n + j;
+        ASSERT_EQ(blocked[e], ref[e]) << "blocked (" << i << ", " << j << ")";
+        ASSERT_EQ(packed[e], ref[e]) << "packed (" << i << ", " << j << ")";
+        ASSERT_EQ(batched[e], ref1[e]) << "batched (" << i << ", " << j
+                                       << ")";
+      }
+      if (i >= m - m % 4) continue;
+      for (int j = 0; j < n_vec; ++j) {
+        const std::size_t e = static_cast<std::size_t>(i) * n + j;
+        ASSERT_EQ(tn[e], tn_ref[e]) << "tn (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+TEST(GemmTiles, MatchChunkedScalarOrderBitwiseDouble) {
+  tiles_match_chunked_order<double>();
+}
+
+TEST(GemmTiles, MatchChunkedScalarOrderBitwiseFloat) {
+  tiles_match_chunked_order<float>();
 }
 
 TEST(Transpose, RoundTrip) {
