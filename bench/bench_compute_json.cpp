@@ -15,8 +15,11 @@
 // compiler, the library's CXX flags, git sha) so numbers are only ever
 // compared within one host.  --baseline names the BENCH_compute.json an
 // earlier build wrote on the same host just before; its batched_b64 and
-// batched_b64_fit_fp32 rungs are copied into a `baseline` block next to
-// this build's, as the same-host before/after of a change.
+// batched_b64_fit_fp32 rungs (median and minimum) are copied into a
+// `baseline` block next to this build's, as the same-host before/after of
+// a change.  The pair-style variants run round-robin, one step each per
+// round, and report the median (`us_per_step`) and the minimum
+// (`us_per_step_min`) of their samples.
 #include <unistd.h>
 
 #include <algorithm>
@@ -59,7 +62,8 @@ constexpr double kTimestepNs = 0.5e-6;  // 0.5 fs MD step
 
 struct Variant {
   std::string name;
-  double us_per_step = 0.0;   // one full 256-atom force evaluation
+  double us_per_step = 0.0;   // one full 256-atom force evaluation (median)
+  double us_per_step_min = 0.0;
   double ns_day_proxy = 0.0;  // single-rank compute-only ns/day at 0.5 fs
 };
 
@@ -727,16 +731,20 @@ std::string host_block() {
   return out.str();
 }
 
-/// us_per_step of variant `name` in a BENCH_compute.json text (its
-/// variants lines are written by this program; 0 when absent).
-double variant_us_per_step(const std::string& json, const std::string& name) {
+/// Field `key` (us_per_step or us_per_step_min) of variant `name` in a
+/// BENCH_compute.json text (its variants lines are written by this
+/// program; 0 when absent — files from before the round-robin timing carry
+/// no us_per_step_min).
+double variant_field(const std::string& json, const std::string& name,
+                     const std::string& key) {
   const auto at = json.find("\"name\": \"" + name + "\",");
   if (at == std::string::npos) return 0.0;
-  const std::string key = "\"us_per_step\": ";
-  const auto v = json.find(key, at);
-  return v == std::string::npos ? 0.0
-                                : std::strtod(json.c_str() + v + key.size(),
-                                              nullptr);
+  const auto eol = json.find('\n', at);
+  const std::string k = "\"" + key + "\": ";
+  const auto v = json.find(k, at);
+  return v == std::string::npos || v > eol
+             ? 0.0
+             : std::strtod(json.c_str() + v + k.size(), nullptr);
 }
 
 }  // namespace
@@ -777,53 +785,67 @@ int main(int argc, char** argv) {
   list.build(atoms, box);
 
   // Full pair-style timing (env build + evaluation + force scatter), the
-  // honest per-step number a simulation would pay.
-  const auto time_variant = [&](int block_size, bool compressed,
-                                bool fused_table = true,
-                                dp::FittingPrecision fitprec =
-                                    dp::FittingPrecision::Inherit) {
+  // honest per-step number a simulation would pay.  The variants run
+  // round-robin, one step each per round, so host speed drift spreads
+  // over all of them instead of landing between them; each reports the
+  // median and the minimum of its `reps` samples.
+  struct TimedVariant {
+    std::string name;
+    std::unique_ptr<dp::PairDeepMD> pair;
+    md::Atoms work;
+    std::vector<double> us;
+  };
+  std::vector<TimedVariant> timed;
+  const auto add_variant = [&](std::string name, int block_size,
+                               bool compressed, bool fused_table = true,
+                               dp::FittingPrecision fitprec =
+                                   dp::FittingPrecision::Inherit) {
     dp::EvalOptions opts;  // double, GemmKind::Auto
     opts.block_size = block_size;
     opts.compressed = compressed;
     opts.fused_table = fused_table;
     opts.fitting_precision = fitprec;
-    dp::PairDeepMD pair(model, opts);
-    md::Atoms work = atoms;
-    work.zero_forces();
-    pair.compute(work, list);  // warm-up: builds tables and caches
-    Stopwatch sw;
-    for (int r = 0; r < reps; ++r) {
-      work.zero_forces();
-      pair.compute(work, list);
-    }
-    return sw.elapsed_us() / reps;
+    TimedVariant v{std::move(name),
+                   std::make_unique<dp::PairDeepMD>(model, opts), atoms, {}};
+    v.work.zero_forces();
+    v.pair->compute(v.work, list);  // warm-up: builds tables and caches
+    timed.push_back(std::move(v));
   };
-
-  std::vector<Variant> variants;
-  variants.push_back({"per_atom", time_variant(1, true), 0.0});
-  variants.push_back({"batched_b64", time_variant(kBlock, true), 0.0});
+  add_variant("per_atom", 1, true);
+  add_variant("batched_b64", kBlock, true);
   // End-to-end fused ablation (ISSUE 5): identical pipeline with the
   // unfused slab path selected — the per-step cost of the G/dG slabs plus
   // the M = 4 contraction GEMMs the fusion removes.
-  variants.push_back({"batched_b64_unfused_table",
-                      time_variant(kBlock, true, /*fused_table=*/false),
-                      0.0});
+  add_variant("batched_b64_unfused_table", kBlock, true,
+              /*fused_table=*/false);
   // Reduced-precision fitting rungs (ISSUE 9, §III-B3): fp64 pipeline with
   // the 240^3 fitting nets in fp32 / bf16-stored weights, energy head and
   // force chain re-accumulated in fp64.
-  variants.push_back({"batched_b64_fit_fp32",
-                      time_variant(kBlock, true, true,
-                                   dp::FittingPrecision::Fp32),
-                      0.0});
-  variants.push_back({"batched_b64_fit_bf16",
-                      time_variant(kBlock, true, true,
-                                   dp::FittingPrecision::Bf16),
-                      0.0});
+  add_variant("batched_b64_fit_fp32", kBlock, true, true,
+              dp::FittingPrecision::Fp32);
+  add_variant("batched_b64_fit_bf16", kBlock, true, true,
+              dp::FittingPrecision::Bf16);
   // Full-embedding rungs (PR 2): the mode the GEMM-cast descriptor
   // contraction gains the most, tracked since ISSUE 2.
-  variants.push_back({"per_atom_fullemb", time_variant(1, false), 0.0});
-  variants.push_back(
-      {"batched_b64_fullemb", time_variant(kBlock, false), 0.0});
+  add_variant("per_atom_fullemb", 1, false);
+  add_variant("batched_b64_fullemb", kBlock, false);
+  for (int r = 0; r < reps; ++r) {
+    for (auto& v : timed) {
+      v.work.zero_forces();
+      Stopwatch sw;
+      v.pair->compute(v.work, list);
+      v.us.push_back(sw.elapsed_us());
+    }
+  }
+  std::vector<Variant> variants;
+  for (auto& v : timed) {
+    std::sort(v.us.begin(), v.us.end());
+    const std::size_t n = v.us.size();
+    const double median =
+        n % 2 == 1 ? v.us[n / 2] : 0.5 * (v.us[n / 2 - 1] + v.us[n / 2]);
+    variants.push_back({v.name, median, v.us.front(), 0.0});
+  }
+  timed.clear();
   for (auto& v : variants) v.ns_day_proxy = ns_day_proxy(v.us_per_step);
   const double speedup =
       variants[0].us_per_step / variants[1].us_per_step;
@@ -892,14 +914,20 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"model\": \"emb 25-50-100, axis 16, fit 240^3, "
                   "sel 46/92, fp64 compressed\",\n");
   std::fprintf(f, "  \"timestep_fs\": 0.5,\n");
+  std::fprintf(f, "  \"variant_timing\": \"round-robin, %d samples each: "
+                  "us_per_step is the median, us_per_step_min the "
+                  "minimum\",\n",
+               reps);
   std::fprintf(f, "  \"variants\": [\n");
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const auto& v = variants[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"us_per_step\": %.2f, "
-                 "\"us_per_atom\": %.3f, \"ns_day_proxy\": %.4f}%s\n",
-                 v.name.c_str(), v.us_per_step, v.us_per_step / kNatoms,
-                 v.ns_day_proxy, i + 1 < variants.size() ? "," : "");
+                 "\"us_per_step_min\": %.2f, \"us_per_atom\": %.3f, "
+                 "\"ns_day_proxy\": %.4f}%s\n",
+                 v.name.c_str(), v.us_per_step, v.us_per_step_min,
+                 v.us_per_step / kNatoms, v.ns_day_proxy,
+                 i + 1 < variants.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"batched_speedup\": %.3f,\n", speedup);
@@ -912,12 +940,19 @@ int main(int argc, char** argv) {
     const std::size_t rungs[] = {1, 3};  // batched_b64, batched_b64_fit_fp32
     for (const std::size_t r : rungs) {
       const auto& v = variants[r];
-      const double before = variant_us_per_step(baseline, v.name);
+      const double before = variant_field(baseline, v.name, "us_per_step");
+      const double before_min =
+          variant_field(baseline, v.name, "us_per_step_min");
       std::fprintf(f,
                    "      {\"name\": \"%s\", \"us_per_step_before\": %.2f, "
-                   "\"us_per_step_after\": %.2f, \"speedup\": %.3f}%s\n",
+                   "\"us_per_step_after\": %.2f, \"speedup\": %.3f, "
+                   "\"us_per_step_min_before\": %.2f, "
+                   "\"us_per_step_min_after\": %.2f, "
+                   "\"speedup_min\": %.3f}%s\n",
                    v.name.c_str(), before, v.us_per_step,
-                   before > 0.0 ? before / v.us_per_step : 0.0,
+                   before > 0.0 ? before / v.us_per_step : 0.0, before_min,
+                   v.us_per_step_min,
+                   before_min > 0.0 ? before_min / v.us_per_step_min : 0.0,
                    r == rungs[1] ? "" : ",");
     }
     std::fprintf(f, "    ]\n");

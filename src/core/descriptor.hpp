@@ -141,6 +141,13 @@ struct AtomEnvBatch {
   std::vector<Vec3> rel;      ///< rows: d = x_j - x_i
 
   int rows() const { return static_cast<int>(row_slot.size()); }
+  /// Rows the kernels evaluate: every segment's active prefix.
+  int total_active_rows() const {
+    if (seg_active.empty()) return rows();
+    int n = 0;
+    for (const int c : seg_active) n += c;
+    return n;
+  }
   /// Neighbor count of center slot a (sum over its type segments).
   int nnei_of(int a) const {
     int n = 0;

@@ -48,6 +48,37 @@ Workspace<T>& workspace() {
   return ws;
 }
 
+/// Flop estimate of one evaluation over `centers` center atoms whose
+/// neighbor rows the kernels evaluate `rows` of (skin-band rows are
+/// skipped, so they do not count).  Inference runs each dense layer's
+/// forward and input-gradient GEMM only — never a weight gradient — so a
+/// weight costs 4 flops per row it sees; the fitting net ends in the
+/// last-width -> 1 energy head.
+double dp_flops(const ModelConfig& cfg, bool compressed, double centers,
+                double rows) {
+  const auto& dparams = cfg.descriptor;
+  const double m1 = dparams.m1();
+  const double m2 = dparams.m2();
+  double flops = 2.0 * rows * 4 * m1 * 2          // A and its backward
+                 + 2.0 * centers * 4 * m1 * m2 * 2;  // D and dA
+  int prev = dparams.fitting_input_dim();
+  for (const int w : cfg.fit_widths) {
+    flops += 4.0 * centers * prev * w;
+    prev = w;
+  }
+  flops += 4.0 * centers * prev;  // energy head
+  if (compressed) {
+    flops += 12.0 * rows * m1;  // table eval
+  } else {
+    prev = 1;
+    for (const int w : dparams.emb_widths) {
+      flops += 4.0 * rows * prev * w;
+      prev = w;
+    }
+  }
+  return flops;
+}
+
 /// Flat scratch of one batched evaluation (a block of B atoms); sized for
 /// the packed row count and reused across blocks.
 template <class T>
@@ -356,26 +387,7 @@ double DPEvaluator::eval_impl(const AtomEnv& env, std::vector<Vec3>& dE_dd,
     dE_dd[static_cast<std::size_t>(k)] = grad;
   }
 
-  // flop estimate: descriptor contractions + fitting fwd/bwd (+ embedding).
-  const double fit_in = dparams.fitting_input_dim();
-  double flops = 2.0 * nnei * 4 * m1 * 2        // A and its backward
-                 + 2.0 * 4 * m1 * m2 * 2        // D and dA
-                 + 6.0 * (fit_in * cfg.fit_widths.front());
-  for (std::size_t l = 1; l < cfg.fit_widths.size(); ++l) {
-    flops += 6.0 * cfg.fit_widths[l - 1] * cfg.fit_widths[l];
-  }
-  if (!opts_.compressed) {
-    double emb = 0.0;
-    int prev = 1;
-    for (const int w : dparams.emb_widths) {
-      emb += 6.0 * prev * w;
-      prev = w;
-    }
-    flops += emb * nnei;
-  } else {
-    flops += 12.0 * nnei * m1;  // table eval
-  }
-  flops_ += flops;
+  flops_ += dp_flops(cfg, opts_.compressed, 1, nnei);
   return energy;
 }
 
@@ -834,20 +846,11 @@ void DPEvaluator::sweep_impl(const SweepJob* jobs, int njobs,
     for (int i = 0; i < njobs; ++i) finish(i, 0);
   }
 
-  // Flop estimate (batch_impl's compressed formula), accumulated outside
-  // the parallel phases.
+  // Flop estimate, accumulated outside the parallel phases.
   for (int i = 0; i < njobs; ++i) {
     const AtomEnvBatch& batch = *jobs[i].batch;
-    const int B = batch.natoms;
-    const int rows = batch.rows();
-    const double fin = dparams.fitting_input_dim();
-    double flops = 2.0 * rows * 4 * m1 * 2 + 2.0 * B * 4 * m1 * m2 * 2 +
-                   6.0 * B * (fin * cfg.fit_widths.front());
-    for (std::size_t l = 1; l < cfg.fit_widths.size(); ++l) {
-      flops += 6.0 * B * cfg.fit_widths[l - 1] * cfg.fit_widths[l];
-    }
-    flops += 12.0 * rows * m1;  // table eval
-    flops_ += flops;
+    flops_ += dp_flops(cfg, /*compressed=*/true, batch.natoms,
+                       batch.total_active_rows());
   }
 }
 
@@ -1165,26 +1168,7 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
     }
   }
 
-  // flop estimate (same per-atom formula as eval_impl, over the block).
-  const double fin = dparams.fitting_input_dim();
-  double flops = 2.0 * rows * 4 * m1 * 2     // A and its backward
-                 + 2.0 * B * 4 * m1 * m2 * 2  // D and dA
-                 + 6.0 * B * (fin * cfg.fit_widths.front());
-  for (std::size_t l = 1; l < cfg.fit_widths.size(); ++l) {
-    flops += 6.0 * B * cfg.fit_widths[l - 1] * cfg.fit_widths[l];
-  }
-  if (!opts_.compressed) {
-    double emb = 0.0;
-    int prev = 1;
-    for (const int w : dparams.emb_widths) {
-      emb += 6.0 * prev * w;
-      prev = w;
-    }
-    flops += emb * rows;
-  } else {
-    flops += 12.0 * rows * m1;  // table eval
-  }
-  flops_ += flops;
+  flops_ += dp_flops(cfg, opts_.compressed, B, batch.total_active_rows());
 }
 
 template void DPEvaluator::batch_impl<double>(

@@ -42,32 +42,42 @@ void NeighborList::bin_atoms(const Atoms& atoms, const Box& box) {
     cell_w_[d] = span[d] / ncell_[d];
   }
   grid_lo_ = lo;
-  const int ncells = ncell_[0] * ncell_[1] * ncell_[2];
-
-  cell_head_.assign(static_cast<std::size_t>(ncells), -1);
-  cell_next_.assign(static_cast<std::size_t>(ntotal), -1);
-  for (int i = 0; i < ntotal; ++i) bin_one(atoms, i);
-  nbinned_ = ntotal;
+  sort_into_grid(atoms);
 }
 
-void NeighborList::bin_one(const Atoms& atoms, int i) {
-  const Vec3& p = atoms.x[static_cast<std::size_t>(i)];
-  int c[3];
-  for (int d = 0; d < 3; ++d) {
-    c[d] = std::clamp(static_cast<int>((p[d] - grid_lo_[d]) / cell_w_[d]),
-                      0, ncell_[d] - 1);
+void NeighborList::sort_into_grid(const Atoms& atoms) {
+  const auto ntotal = static_cast<std::size_t>(atoms.ntotal());
+  const auto ncells =
+      static_cast<std::size_t>(ncell_[0] * ncell_[1] * ncell_[2]);
+  atom_cell_.resize(ntotal);
+  cell_start_.assign(ncells + 1, 0);
+  for (std::size_t i = 0; i < ntotal; ++i) {
+    const Vec3& p = atoms.x[i];
+    const int cell =
+        (cell_coord(p.x, 0) * ncell_[1] + cell_coord(p.y, 1)) * ncell_[2] +
+        cell_coord(p.z, 2);
+    atom_cell_[i] = cell;
+    ++cell_start_[static_cast<std::size_t>(cell)];
   }
-  const int cell = (c[0] * ncell_[1] + c[1]) * ncell_[2] + c[2];
-  cell_next_[static_cast<std::size_t>(i)] =
-      cell_head_[static_cast<std::size_t>(cell)];
-  cell_head_[static_cast<std::size_t>(cell)] = i;
-}
-
-void NeighborList::bin_new_atoms(const Atoms& atoms) {
-  const int ntotal = atoms.ntotal();
-  cell_next_.resize(static_cast<std::size_t>(ntotal), -1);
-  for (int i = nbinned_; i < ntotal; ++i) bin_one(atoms, i);
-  nbinned_ = ntotal;
+  // Inclusive prefix sum: cell_start_[c] is the end of cell c ...
+  for (std::size_t c = 1; c <= ncells; ++c) {
+    cell_start_[c] += cell_start_[c - 1];
+  }
+  // ... and filling each cell from its end in ascending atom index moves it
+  // back to the start, leaving the cell in descending atom index.
+  sorted_idx_.resize(ntotal);
+  sx_.resize(ntotal);
+  sy_.resize(ntotal);
+  sz_.resize(ntotal);
+  for (std::size_t i = 0; i < ntotal; ++i) {
+    const auto slot = static_cast<std::size_t>(
+        --cell_start_[static_cast<std::size_t>(atom_cell_[i])]);
+    sorted_idx_[slot] = static_cast<int>(i);
+    sx_[slot] = atoms.x[i].x;
+    sy_[slot] = atoms.x[i].y;
+    sz_[slot] = atoms.x[i].z;
+  }
+  nsorted_ = atoms.ntotal();
 }
 
 void NeighborList::search_center(const Atoms& atoms, int i) {
@@ -75,30 +85,40 @@ void NeighborList::search_center(const Atoms& atoms, int i) {
   const double rlist2 = rlist * rlist;
   auto& list = neigh_[static_cast<std::size_t>(i)];
   const Vec3& xi = atoms.x[static_cast<std::size_t>(i)];
-  int ci[3];
-  for (int d = 0; d < 3; ++d) {
-    ci[d] = std::clamp(static_cast<int>((xi[d] - grid_lo_[d]) / cell_w_[d]),
-                       0, ncell_[d] - 1);
-  }
-  for (int dx = -1; dx <= 1; ++dx) {
-    const int cx = ci[0] + dx;
-    if (cx < 0 || cx >= ncell_[0]) continue;
-    for (int dy = -1; dy <= 1; ++dy) {
-      const int cy = ci[1] + dy;
-      if (cy < 0 || cy >= ncell_[1]) continue;
-      for (int dz = -1; dz <= 1; ++dz) {
-        const int cz = ci[2] + dz;
-        if (cz < 0 || cz >= ncell_[2]) continue;
-        const int c = (cx * ncell_[1] + cy) * ncell_[2] + cz;
-        for (int j = cell_head_[static_cast<std::size_t>(c)]; j >= 0;
-             j = cell_next_[static_cast<std::size_t>(j)]) {
-          if (j == i) continue;
-          if (!cfg_.full && skip_in_half_list(atoms, i, j)) continue;
-          const Vec3 d = atoms.x[static_cast<std::size_t>(j)] - xi;
-          if (d.norm2() <= rlist2) list.push_back(j);
-        }
+  const int ci[3] = {cell_coord(xi.x, 0), cell_coord(xi.y, 1),
+                     cell_coord(xi.z, 2)};
+  // The z cells cz-1..cz+1 of an (x, y) row are contiguous slots.  The
+  // distance filter is branch-free: every candidate is written, only hits
+  // advance the cursor.
+  const int zlo = std::max(ci[2] - 1, 0);
+  const int zhi = std::min(ci[2] + 1, ncell_[2] - 1);
+  std::size_t nhit = 0;
+  for (int cx = std::max(ci[0] - 1, 0);
+       cx <= std::min(ci[0] + 1, ncell_[0] - 1); ++cx) {
+    for (int cy = std::max(ci[1] - 1, 0);
+         cy <= std::min(ci[1] + 1, ncell_[1] - 1); ++cy) {
+      const auto row = static_cast<std::size_t>((cx * ncell_[1] + cy) *
+                                                ncell_[2]);
+      const auto begin = static_cast<std::size_t>(cell_start_[row + zlo]);
+      const auto end = static_cast<std::size_t>(cell_start_[row + zhi + 1]);
+      if (hits_.size() < nhit + (end - begin)) {
+        hits_.resize(nhit + (end - begin));
+      }
+      int* const hits = hits_.data();
+      for (std::size_t s = begin; s < end; ++s) {
+        const double dx = sx_[s] - xi.x;
+        const double dy = sy_[s] - xi.y;
+        const double dz = sz_[s] - xi.z;
+        hits[nhit] = sorted_idx_[s];
+        nhit += static_cast<std::size_t>(dx * dx + dy * dy + dz * dz <= rlist2);
       }
     }
+  }
+  for (std::size_t h = 0; h < nhit; ++h) {
+    const int j = hits_[h];
+    if (j == i) continue;
+    if (!cfg_.full && skip_in_half_list(atoms, i, j)) continue;
+    list.push_back(j);
   }
 }
 
@@ -111,13 +131,13 @@ void NeighborList::build(const Atoms& atoms, const Box& box) {
 
 void NeighborList::build_centers(const Atoms& atoms, const Box& box,
                                  std::span<const int> centers, bool reset) {
-  if (reset || nbinned_ <= 0 || nbinned_ > atoms.ntotal()) {
+  if (reset || nsorted_ <= 0 || nsorted_ > atoms.ntotal()) {
     bin_atoms(atoms, box);
-  } else if (atoms.ntotal() > nbinned_) {
+  } else if (atoms.ntotal() > nsorted_) {
     // Append pass of the staged overlap build: the locals were binned by
-    // the reset pass and have not moved; only the freshly adopted ghosts
-    // need threading into the grid.
-    bin_new_atoms(atoms);
+    // the reset pass and have not moved; the freshly adopted ghosts join
+    // them in the reset pass's grid.
+    sort_into_grid(atoms);
   }
   if (reset) {
     neigh_.resize(static_cast<std::size_t>(atoms.nlocal));

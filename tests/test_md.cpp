@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "md/box.hpp"
 #include "md/lattice.hpp"
@@ -179,6 +180,85 @@ TEST(Neighbor, AppendBinnedGhostsMatchFullRebin) {
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want) << "center " << i;
+  }
+}
+
+namespace {
+
+/// Asserts every list of `list` holds no duplicate and equals `ref` as a set.
+void expect_lists_match(const NeighborList& list,
+                        const std::vector<std::vector<int>>& ref,
+                        const std::string& what) {
+  ASSERT_EQ(list.nlocal_built(), static_cast<int>(ref.size())) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    auto got = list.neighbors(static_cast<int>(i));
+    auto want = ref[i];
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+        << what << ": duplicate neighbor of center " << i;
+    EXPECT_EQ(got, want) << what << ": center " << i;
+  }
+}
+
+}  // namespace
+
+TEST(Neighbor, DegenerateGridsMatchBruteForce) {
+  // Grids of 1, 2 and 3 cells per dimension (mixed too): a 1- or 2-cell
+  // dimension has fewer z cells than the 3-cell stencil row, so the row
+  // range must clamp at both grid edges without visiting a cell twice.
+  const double rc = 3.0, skin = 0.5, rlist = rc + skin;
+  const int shapes[][3] = {{1, 1, 1}, {2, 2, 2}, {3, 3, 3},
+                           {1, 2, 3}, {3, 1, 2}, {2, 3, 1}};
+  for (const auto& n : shapes) {
+    // Box edge (n + 0.5) * rlist gives n cells: the grid spans box + atoms.
+    const Vec3 hi{(n[0] + 0.5) * rlist, (n[1] + 0.5) * rlist,
+                  (n[2] + 0.5) * rlist};
+    const Box box({0, 0, 0}, hi);
+    Rng rng(1000 + 100 * n[0] + 10 * n[1] + n[2]);
+    Atoms atoms = make_random_gas(40, box, 0, rng);
+    // One atom exactly at the maximum coordinate of the grid's extent, and
+    // one exactly at its minimum.
+    atoms.add_local(hi, {0, 0, 0}, 0, atoms.nlocal);
+    atoms.add_local({0, 0, 0}, {0, 0, 0}, 0, atoms.nlocal);
+    const std::string shape = std::to_string(n[0]) + "x" +
+                              std::to_string(n[1]) + "x" +
+                              std::to_string(n[2]);
+
+    for (const bool full : {true, false}) {
+      NeighborList list({rc, skin, full});
+      list.build(atoms, box);
+      expect_lists_match(list, brute_force_neighbors(atoms, rlist, full),
+                         shape + (full ? " full" : " half"));
+    }
+
+    // Staged half list: a locals-only reset pass, then ghosts appended
+    // outside that pass's grid (within the list cutoff of the edge, and
+    // far beyond it), which the append pass clamps into the edge cells.
+    Atoms staged = atoms;
+    std::vector<int> centers(static_cast<std::size_t>(staged.nlocal));
+    for (int i = 0; i < staged.nlocal; ++i) {
+      centers[static_cast<std::size_t>(i)] = i;
+    }
+    NeighborList half({rc, skin, false});
+    half.build_centers(staged, box, centers, /*reset=*/true);
+    const double outside[] = {-0.6 * rlist, -3.0 * rlist};
+    for (int g = 0; g < 24; ++g) {
+      const double off = outside[g % 2];
+      Vec3 p{rng.uniform(0.0, hi.x), rng.uniform(0.0, hi.y),
+             rng.uniform(0.0, hi.z)};
+      const int d = (g / 2) % 3;
+      p[d] = (g / 6) % 2 == 0 ? off : hi[d] - off;
+      staged.add_ghost(p, 0, 1000 + g, g % staged.nlocal, {0, 0, 0});
+    }
+    half.build_centers(staged, box, centers, /*reset=*/false);
+    int ghost_entries = 0;
+    for (int i = 0; i < staged.nlocal; ++i) {
+      for (const int j : half.neighbors(i)) ghost_entries += j >= staged.nlocal;
+    }
+    EXPECT_GT(ghost_entries, 0) << shape << ": no clamped ghost was reached";
+    expect_lists_match(half, brute_force_neighbors(staged, rlist, false),
+                       shape + " staged half");
   }
 }
 
